@@ -7,7 +7,7 @@ and add/sub saturate with a visible flag.  Run this to see each rule
 on concrete words.
 """
 
-from gippsim import (
+from gippsim.fxp import (
     ONE,
     RAW_MAX,
     VALUE_MAX,
@@ -18,7 +18,6 @@ from gippsim import (
     div,
     encode,
     mul,
-    mul_wide,
     sub,
 )
 
@@ -42,9 +41,9 @@ print()
 
 print("multiply keeps the full 28-bit product, then rounds once:")
 a, b = encode(2.5), encode(0.51)
-wide = mul_wide(a, b)
+wide = a.raw * b.raw                  # Q16.12: value = raw / 4096
 rounded, _ = mul(a, b)
-print(f"  {decode(a)} * {decode(b)}: wide raw {wide.raw} = {wide.value}")
+print(f"  {decode(a)} * {decode(b)}: wide raw {wide} = {wide / 4096}")
 print(f"  rounded back to Q8.6: raw {rounded.raw} = {decode(rounded)}")
 print()
 

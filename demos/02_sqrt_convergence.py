@@ -10,7 +10,7 @@ three.  This script traces a few roots and tallies the whole domain.
 
 from collections import Counter
 
-from gippsim import Fx, RAW_MAX, decode, sqrt
+from gippsim.fxp import RAW_MAX, Fx, decode, sqrt
 
 print("traced examples:")
 for value in (0.03125, 1.0, 2.0, 4.0, 200.0, VALUE := RAW_MAX / 64):

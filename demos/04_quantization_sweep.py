@@ -8,7 +8,9 @@ errors cluster at small radicands, where the truncated divide feeds
 the steepest part of the square root and the a*T gain scales it up.
 """
 
-from gippsim import decode, gipps_reference, gipps_step, grid_cases, run_sweep
+from gippsim.fxp import decode
+from gippsim.gipps import gipps_reference, gipps_step
+from gippsim.sweep import grid_cases, run_sweep
 
 summary = run_sweep(grid_cases(vstars=(5.0, 20.0, 70.0)))
 
@@ -34,5 +36,5 @@ ideal = gipps_reference(decode(worst.a), decode(worst.T),
 print(f"  worst at v = {decode(worst.v)} m/s:")
 print(f"  fixed {decode(res.va):.6f} vs ideal {ideal:.9f} "
       f"(error {abs(decode(res.va) - ideal):.6f})")
-print("  radicand stage raw:", res.trace.r.raw,
+print("  radicand stage raw:", res.r.raw,
       "- one raw step of radicand error is sqrt-amplified, then gained 12.5x")

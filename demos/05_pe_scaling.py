@@ -8,7 +8,8 @@ bit-identical, because PE count is pure timing model.
 
 import itertools
 
-from gippsim import PeArrayConfig, dispatch_batch, grid_cases
+from gippsim.pearray import PeArrayConfig, dispatch_batch
+from gippsim.sweep import grid_cases
 
 batch = list(itertools.islice(grid_cases(), 1200))
 print(f"batch: {len(batch)} velocity updates, 250 MHz clock")

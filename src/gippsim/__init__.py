@@ -6,65 +6,10 @@ square root, and a multiply chain, in 4 clock cycles.  Around the
 instruction sit a PE-array batch dispatcher with exact cycle
 accounting, a single-lane traffic workload, an independent
 integer-arithmetic verification oracle, and a benchmark harness.
+
+Import from the submodules: ``fxp`` (Q8.6 words and ops), ``gipps``
+(the instruction), ``oracle``, ``pearray``, ``sim``, ``sweep`` and
+``cli``.
 """
 
-from .fxp import (
-    FRAC_BITS,
-    ONE,
-    RAW_MAX,
-    SCALE,
-    VALUE_MAX,
-    ZERO,
-    DivideByZeroError,
-    Fx,
-    FxWide,
-    OutOfRangeError,
-    SqrtTrace,
-    add,
-    decode,
-    div,
-    encode,
-    mul,
-    mul_wide,
-    sqrt,
-    sub,
-)
-from .gipps import (
-    GippsOperands,
-    GippsResult,
-    InvalidOperandsError,
-    PipelineTrace,
-    gipps_reference,
-    gipps_step,
-)
-from .oracle import floor_isqrt, pipeline_oracle
-from .pearray import DEFAULT_CLOCK_HZ, BatchReport, PeArrayConfig, dispatch_batch
-from .sim import (
-    ConfigError,
-    SimConfig,
-    TraceRow,
-    Vehicle,
-    init_fleet,
-    load_sim_config,
-    run_sim,
-    step_sim,
-    write_trace_csv,
-)
-from .sweep import SweepSummary, grid_cases, run_sweep
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "FRAC_BITS", "SCALE", "RAW_MAX", "VALUE_MAX", "ZERO", "ONE",
-    "Fx", "FxWide", "SqrtTrace",
-    "OutOfRangeError", "DivideByZeroError", "InvalidOperandsError", "ConfigError",
-    "encode", "decode", "add", "sub", "mul", "mul_wide", "div", "sqrt",
-    "GippsOperands", "GippsResult", "PipelineTrace",
-    "gipps_step", "gipps_reference",
-    "floor_isqrt", "pipeline_oracle",
-    "PeArrayConfig", "BatchReport", "DEFAULT_CLOCK_HZ", "dispatch_batch",
-    "SimConfig", "Vehicle", "TraceRow",
-    "init_fleet", "step_sim", "run_sim", "write_trace_csv", "load_sim_config",
-    "SweepSummary", "grid_cases", "run_sweep",
-    "__version__",
-]

@@ -26,7 +26,7 @@ import numpy as np
 from .fxp import Fx, OutOfRangeError, decode, encode, sqrt
 from .gipps import GippsOperands, InvalidOperandsError, gipps_reference, gipps_step
 from .pearray import DEFAULT_CLOCK_HZ, BatchReport, PeArrayConfig, dispatch_batch
-from .sim import ConfigError, load_sim_config, run_sim, write_trace_csv
+from .sim import CONFIG_KEYS, ConfigError, load_sim_config, run_sim, write_trace_csv
 from .sweep import (
     DEFAULT_ACCELS,
     DEFAULT_TIMES,
@@ -74,7 +74,7 @@ def _pe_config(args: argparse.Namespace) -> PeArrayConfig:
 def cmd_step(args: argparse.Namespace) -> int:
     ops = GippsOperands(a=args.a, T=args.t, vstar=args.vstar, v=args.v)
     res = gipps_step(ops)
-    for name, fx in res.trace.stages():
+    for name, fx in res.stages():
         print(f"{name:<3} raw={fx.raw:>6}  {decode(fx):>11.6f}")
     print(f"va  raw={res.va.raw:>6}  {decode(res.va):>11.6f}")
     print(f"cycles: {res.cycles}")
@@ -116,17 +116,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_sim(args: argparse.Namespace) -> int:
-    overrides = {
-        "step_t": args.step_t,
-        "n_steps": args.n_steps,
-        "n_vehicles": args.n_vehicles,
-        "initial_spacing_m": args.initial_spacing_m,
-        "seed": args.seed,
-        "min_desired_speed": args.min_desired_speed,
-        "max_desired_speed": args.max_desired_speed,
-        "min_accel": args.min_accel,
-        "max_accel": args.max_accel,
-    }
+    overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     cfg = load_sim_config(args.config, overrides)
     rows, report = run_sim(cfg, _pe_config(args))
     write_trace_csv(rows, args.out)
@@ -200,13 +190,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--clock-hz", type=int, default=DEFAULT_CLOCK_HZ,
-                        help="modeled clock frequency (default 250 MHz)")
-    common.add_argument("--pes", type=int, default=1,
-                        help="number of processing elements")
-    common.add_argument("--config", default=None,
-                        help="key = value configuration file")
+    pe_array = argparse.ArgumentParser(add_help=False)
+    pe_array.add_argument("--clock-hz", type=int, default=DEFAULT_CLOCK_HZ,
+                          help="modeled clock frequency (default 250 MHz)")
+    pe_array.add_argument("--pes", type=int, default=1,
+                          help="number of processing elements")
 
     parser = argparse.ArgumentParser(
         prog="gippsim",
@@ -214,21 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("step", parents=[common],
-                       help="evaluate one velocity update")
+    p = sub.add_parser("step", help="evaluate one velocity update")
     p.add_argument("--a", type=_fx_flag, required=True, help="max acceleration")
     p.add_argument("--t", type=_fx_flag, required=True, help="reaction time")
     p.add_argument("--vstar", type=_fx_flag, required=True, help="desired speed")
     p.add_argument("--v", type=_fx_flag, required=True, help="current speed")
     p.set_defaults(func=cmd_step)
 
-    p = sub.add_parser("sqrt", parents=[common],
-                       help="trace the square root unit")
+    p = sub.add_parser("sqrt", help="trace the square root unit")
     p.add_argument("--s", type=_fx_flag, required=True, help="radicand")
     p.set_defaults(func=cmd_sqrt)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="exhaustive verification sweep")
+    p = sub.add_parser("sweep", help="exhaustive verification sweep")
     p.add_argument("--out", default="sweep.csv", help="per-case CSV path")
     p.add_argument("--vstars", type=_axis, default=DEFAULT_VSTARS,
                    help="comma-separated desired speeds")
@@ -240,24 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the velocity axis to v = vstar")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("sim", parents=[common],
+    p = sub.add_parser("sim", parents=[pe_array],
                        help="run the traffic workload")
     p.add_argument("--out", default="trace.csv", help="trace CSV path")
-    p.add_argument("--step-t", dest="step_t", type=float, default=None)
-    p.add_argument("--n-steps", dest="n_steps", type=int, default=None)
-    p.add_argument("--n-vehicles", dest="n_vehicles", type=int, default=None)
-    p.add_argument("--initial-spacing-m", dest="initial_spacing_m",
-                   type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--min-desired-speed", dest="min_desired_speed",
-                   type=float, default=None)
-    p.add_argument("--max-desired-speed", dest="max_desired_speed",
-                   type=float, default=None)
-    p.add_argument("--min-accel", dest="min_accel", type=float, default=None)
-    p.add_argument("--max-accel", dest="max_accel", type=float, default=None)
+    p.add_argument("--config", default=None,
+                   help="key = value configuration file")
+    for key, kind in CONFIG_KEYS.items():     # --n-steps sets n_steps, ...
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     p.set_defaults(func=cmd_sim)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[pe_array],
                        help="host float baseline vs modeled accelerator")
     p.add_argument("--n-ops", dest="n_ops", type=int, default=1000,
                    help="operand sets per iteration")

@@ -27,7 +27,6 @@ FRAC_BITS = 6
 SCALE = 1 << FRAC_BITS          # 64
 RAW_MAX = (1 << 14) - 1         # 16383
 VALUE_MAX = RAW_MAX / SCALE     # 255.984375
-WIDE_BITS = 28                  # full product width, Q16.12
 _HALF = SCALE // 2              # rounding increment for ties-up
 
 SQRT_MAX_PASSES = 6
@@ -54,23 +53,8 @@ class Fx(NamedTuple):
         return f"Fx({self.raw}={self.value:.6f})"
 
 
-class FxWide(NamedTuple):
-    """Unrounded multiplier output: 28-bit word read as raw / 4096 (Q16.12)."""
-
-    raw: int
-
-    @property
-    def value(self) -> float:
-        return self.raw / (SCALE * SCALE)
-
-
 ZERO = Fx(0)
 ONE = Fx(SCALE)
-
-
-def is_valid(v: Fx) -> bool:
-    """True when the word fits the 14-bit register."""
-    return 0 <= v.raw <= RAW_MAX
 
 
 def encode(x: float) -> Fx:
@@ -106,14 +90,12 @@ def sub(a: Fx, b: Fx) -> tuple[Fx, bool]:
     return Fx(t), False
 
 
-def mul_wide(a: Fx, b: Fx) -> FxWide:
-    """Full-width product before rounding; always fits 28 bits."""
-    return FxWide(a.raw * b.raw)
-
-
 def mul(a: Fx, b: Fx) -> tuple[Fx, bool]:
-    """Multiply, round to nearest (ties up), saturate at 16383."""
-    r = (mul_wide(a, b).raw + _HALF) >> FRAC_BITS
+    """Multiply, round to nearest (ties up), saturate at 16383.
+
+    The full 28-bit product is rounded once, back to Q8.6.
+    """
+    r = (a.raw * b.raw + _HALF) >> FRAC_BITS
     if r > RAW_MAX:
         return Fx(RAW_MAX), True
     return Fx(r), False

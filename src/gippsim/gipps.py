@@ -54,9 +54,12 @@ class GippsOperands:
 
 
 @dataclass(frozen=True)
-class PipelineTrace:
-    """Raw view of every intermediate stage, for audits and the CLI."""
+class GippsResult:
+    """One instruction's output word and latency, with every stage word
+    for audits and the CLI."""
 
+    va: Fx
+    cycles: int
     q: Fx            # v / vstar
     f: Fx            # 1 - q
     r: Fx            # 0.03125 + q, the radicand
@@ -74,13 +77,6 @@ class PipelineTrace:
         ]
 
 
-@dataclass(frozen=True)
-class GippsResult:
-    va: Fx
-    cycles: int
-    trace: PipelineTrace
-
-
 def gipps_step(ops: GippsOperands) -> GippsResult:
     """Run one velocity update through the fixed-point pipeline."""
     ops.validate()
@@ -93,8 +89,7 @@ def gipps_step(ops: GippsOperands) -> GippsResult:
     p3, _ = fxp.mul(p2, f)
     p4, _ = fxp.mul(p3, s)
     va, _ = fxp.add(ops.v, p4)             # no clamp to vstar here
-    cycles = 2 + strace.iterations
-    return GippsResult(va, cycles, PipelineTrace(q, f, r, s, p1, p2, p3, p4, strace))
+    return GippsResult(va, 2 + strace.iterations, q, f, r, s, p1, p2, p3, p4, strace)
 
 
 def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:

@@ -11,7 +11,7 @@ either one surfaces as a mismatch instead of hiding in shared code.
 from __future__ import annotations
 
 from .fxp import Fx, SqrtTrace
-from .gipps import GippsOperands, GippsResult, InvalidOperandsError, PipelineTrace
+from .gipps import GippsOperands, GippsResult, InvalidOperandsError
 
 _RAW_MAX = 16383
 
@@ -85,8 +85,7 @@ def pipeline_oracle(ops: GippsOperands) -> GippsResult:
         va = _RAW_MAX
 
     strace = _sqrt_unit_trace(r)
-    trace = PipelineTrace(
-        Fx(q), Fx(f), Fx(r), Fx(s),
-        Fx(p1), Fx(p2), Fx(p3), Fx(p4), strace,
+    return GippsResult(
+        Fx(va), 2 + strace.iterations,
+        Fx(q), Fx(f), Fx(r), Fx(s), Fx(p1), Fx(p2), Fx(p3), Fx(p4), strace,
     )
-    return GippsResult(Fx(va), 2 + strace.iterations, trace)

@@ -21,16 +21,12 @@ DEFAULT_CLOCK_HZ = 250_000_000
 class PeArrayConfig:
     num_pes: int = 1
     clock_hz: int = DEFAULT_CLOCK_HZ
-    # fixed per-batch cost, off by default; kept for sensitivity studies
-    overhead_cycles: int = 0
 
     def __post_init__(self) -> None:
         if self.num_pes < 1:
             raise ValueError("num_pes must be >= 1")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
-        if self.overhead_cycles < 0:
-            raise ValueError("overhead_cycles must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -68,15 +64,9 @@ def dispatch_batch(
             raise InvalidOperandsError(f"operand {i}: {exc}") from None
 
     results = [gipps_step(ops) for ops in ops_list]
-
-    if results:
-        busy = [0] * cfg.num_pes
-        for i, res in enumerate(results):
-            busy[i % cfg.num_pes] += res.cycles
-        cycles = max(busy) + cfg.overhead_cycles
-        per_op = max(res.cycles for res in results)
-    else:
-        cycles = 0
-        per_op = 0
+    # every valid op has the same latency, so the busiest PE, the one
+    # that gets ceil(N/P) ops round-robin, sets the batch latency
+    per_op = max((res.cycles for res in results), default=0)
+    cycles = -(-len(results) // cfg.num_pes) * per_op
     time_ns = cycles * 1e9 / cfg.clock_hz
     return results, BatchReport(len(results), cycles, time_ns, per_op)

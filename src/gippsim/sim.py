@@ -17,7 +17,7 @@ same fleet, bit for bit.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -174,12 +174,13 @@ def write_trace_csv(rows: Sequence[TraceRow], path: str) -> None:
         fh.write(format_trace(rows))
 
 
-# configuration files are plain "key = value" lines; '#' starts a comment
-_FLOAT_KEYS = (
-    "step_t", "initial_spacing_m",
-    "min_desired_speed", "max_desired_speed", "min_accel", "max_accel",
-)
-_INT_KEYS = ("n_steps", "n_vehicles", "seed")
+# Every SimConfig field is a config key, with the type its value is
+# parsed as: int fields as int, the rest as float (step_t is encoded
+# after parsing).  Configuration files are plain "key = value" lines;
+# '#' starts a comment.
+CONFIG_KEYS: dict[str, type] = {
+    f.name: int if isinstance(f.default, int) else float for f in fields(SimConfig)
+}
 
 
 def parse_config_text(text: str) -> dict[str, float | int]:
@@ -192,10 +193,10 @@ def parse_config_text(text: str) -> dict[str, float | int]:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _INT_KEYS and key not in _FLOAT_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = int(val) if key in _INT_KEYS else float(val)
+            values[key] = CONFIG_KEYS[key](val)
         except ValueError:
             raise ConfigError(f"line {lineno}: bad value {val!r} for {key!r}") from None
     return values
@@ -218,7 +219,7 @@ def load_sim_config(
     for key, val in (overrides or {}).items():
         if val is None:
             continue
-        if key not in _FLOAT_KEYS and key not in _INT_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
     kwargs: dict = dict(values)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .fxp import Fx, decode, encode
+from .fxp import ZERO, Fx, decode, encode
 from .gipps import GippsOperands, gipps_reference, gipps_step
 from .oracle import pipeline_oracle
 
@@ -30,18 +30,32 @@ def grid_cases(
     times: Iterable[float] = DEFAULT_TIMES,
     v_equals_vstar: bool = False,
 ) -> Iterator[GippsOperands]:
-    """Yield every grid operand set: all raw velocities 0..vstar.raw.
+    """Iterate every grid operand set: all raw velocities 0..vstar.raw.
 
     ``v_equals_vstar`` restricts the velocity axis to the single point
-    v = vstar, where the update is exact.
+    v = vstar, where the update is exact.  The axes are encoded and
+    checked against the instruction's preconditions before this
+    returns (OutOfRangeError, InvalidOperandsError), so a bad axis
+    fails before any case runs; the cases themselves stay lazy.
     """
+    ea = [encode(x) for x in accels]
+    et = [encode(x) for x in times]
+    evs = [encode(x) for x in vstars]
+    for t in et:
+        for vs in evs:
+            GippsOperands(ZERO, t, vs, ZERO).validate()
+    return _grid(ea, et, evs, v_equals_vstar)
+
+
+def _grid(
+    accels: list[Fx], times: list[Fx], vstars: list[Fx], v_equals_vstar: bool,
+) -> Iterator[GippsOperands]:
     for a in accels:
         for t in times:
             for vs in vstars:
-                ea, et, evs = encode(a), encode(t), encode(vs)
-                lo = evs.raw if v_equals_vstar else 0
-                for vraw in range(lo, evs.raw + 1):
-                    yield GippsOperands(ea, et, evs, Fx(vraw))
+                lo = vs.raw if v_equals_vstar else 0
+                for vraw in range(lo, vs.raw + 1):
+                    yield GippsOperands(a, t, vs, Fx(vraw))
 
 
 @dataclass
@@ -106,7 +120,7 @@ def run_sweep(
         err_total += err
         if err > summary.max_abs_err:
             summary.max_abs_err = err
-        it = res.trace.sqrt_trace.iterations
+        it = res.sqrt_trace.iterations
         if it > summary.max_sqrt_iterations:
             summary.max_sqrt_iterations = it
         hist[res.cycles] += 1

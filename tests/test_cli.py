@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from gippsim.cli import main
-from gippsim.sim import TRACE_HEADER
+from gippsim.cli import build_parser, main
+from gippsim.fxp import Fx
+from gippsim.sim import TRACE_HEADER, SimConfig, load_sim_config
 from gippsim.sweep import CSV_HEADER
 
 
@@ -87,6 +88,46 @@ def test_sweep_unwritable_path(capsys):
     code, _, err = run_cli(capsys, "sweep", "--out", "/nonexistent/x.csv")
     assert code == 1
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize("axis", [
+    ("--vstars", "0"), ("--vstars", "300"), ("--times", "0"), ("--accels", "-1"),
+])
+def test_sweep_bad_axis_keeps_existing_output(capsys, tmp_path, axis):
+    out_csv = tmp_path / "sweep.csv"
+    out_csv.write_bytes(b"keep me\n")
+    code, _, err = run_cli(capsys, "sweep", "--out", str(out_csv), *axis)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out_csv.read_bytes() == b"keep me\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--pes", "0"],
+    ["step", "--a", "1", "--t", "1", "--vstar", "1", "--v", "0",
+     "--config", "/nonexistent"],
+    ["sqrt", "--s", "1", "--clock-hz", "1"],
+])
+def test_subcommands_reject_options_they_ignore(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_sim_flags_cover_every_config_key():
+    args = build_parser().parse_args([
+        "sim", "--step-t", "0.25", "--n-steps", "7", "--n-vehicles", "3",
+        "--initial-spacing-m", "4.5", "--seed", "11",
+        "--min-desired-speed", "12", "--max-desired-speed", "13",
+        "--min-accel", "1.5", "--max-accel", "2.5",
+    ])
+    overrides = {key: getattr(args, key) for key in (
+        "step_t", "n_steps", "n_vehicles", "initial_spacing_m", "seed",
+        "min_desired_speed", "max_desired_speed", "min_accel", "max_accel")}
+    assert load_sim_config(None, overrides) == SimConfig(
+        step_t=Fx(16), n_steps=7, n_vehicles=3, initial_spacing_m=4.5, seed=11,
+        min_desired_speed=12.0, max_desired_speed=13.0, min_accel=1.5, max_accel=2.5,
+    )
 
 
 def test_sim_writes_trace(capsys, tmp_path):

@@ -18,7 +18,6 @@ from gippsim.fxp import (
     div,
     encode,
     mul,
-    mul_wide,
     sqrt,
     sub,
 )
@@ -81,12 +80,6 @@ def test_mul_rounds_to_nearest_ties_up():
     assert mul(Fx(1), Fx(31))[0].raw == 0
     r, sat = mul(Fx(RAW_MAX), Fx(RAW_MAX))
     assert r.raw == RAW_MAX and sat
-
-
-def test_mul_wide_keeps_full_product():
-    w = mul_wide(Fx(RAW_MAX), Fx(RAW_MAX))
-    assert w.raw == RAW_MAX * RAW_MAX
-    assert w.value == (RAW_MAX / 64) ** 2
 
 
 def test_div_truncates():

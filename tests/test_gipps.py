@@ -22,7 +22,7 @@ def test_step_from_rest():
     assert res.va.raw == 28
     assert decode(res.va) == 0.4375
     assert res.cycles == 4
-    stages = dict((name, fx.raw) for name, fx in res.trace.stages())
+    stages = dict((name, fx.raw) for name, fx in res.stages())
     assert stages == {
         "q": 0, "f": 64, "r": 2, "s": 11,
         "p1": 320, "p2": 160, "p3": 160, "p4": 28,
@@ -47,7 +47,7 @@ def test_step_worst_grid_case():
 
 def test_cycles_track_sqrt_iterations():
     res = gipps_step(ops_from_floats(1.0, 0.25, 36.0, 18.0))
-    assert res.cycles == 2 + res.trace.sqrt_trace.iterations
+    assert res.cycles == 2 + res.sqrt_trace.iterations
 
 
 def test_preconditions():
@@ -90,8 +90,8 @@ def test_step_matches_oracle_on_arbitrary_operands(ops):
     ref = pipeline_oracle(ops)
     assert res.va.raw == ref.va.raw
     assert res.cycles == ref.cycles
-    assert [s.raw for _, s in res.trace.stages()] == [
-        s.raw for _, s in ref.trace.stages()
+    assert [s.raw for _, s in res.stages()] == [
+        s.raw for _, s in ref.stages()
     ]
 
 

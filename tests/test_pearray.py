@@ -59,14 +59,6 @@ def test_empty_batch():
     assert report == BatchReport(0, 0, 0.0, 0)
 
 
-def test_overhead_only_charged_when_busy():
-    cfg = PeArrayConfig(overhead_cycles=7)
-    _, report = dispatch_batch(small_batch(1), cfg)
-    assert report.cycles == 11
-    _, report = dispatch_batch([], cfg)
-    assert report.cycles == 0
-
-
 def test_modeled_time_follows_clock():
     batch = small_batch(1)
     _, report = dispatch_batch(batch)
@@ -89,8 +81,6 @@ def test_config_validation():
         PeArrayConfig(num_pes=0)
     with pytest.raises(ValueError):
         PeArrayConfig(clock_hz=0)
-    with pytest.raises(ValueError):
-        PeArrayConfig(overhead_cycles=-1)
     assert PeArrayConfig().clock_hz == DEFAULT_CLOCK_HZ
 
 
