@@ -6,10 +6,16 @@ behaviour change, not a refactor.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 from gippsim.cli import main
 from gippsim.pearray import PeArrayConfig
 from gippsim.sim import SimConfig, format_trace, run_sim
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import verify      # noqa: E402
+import workloads   # noqa: E402
 
 DEFAULT_SIM_SHA = "ff6dd5331fefbf4d01ec9997e5150d327fea3957f93922097e7e8b39749e579e"
 CRITERION_8_SHA = "99422bcc9203d76e6d14e6cfdeea908072241401cee212df0bac25d763f1c5f5"
@@ -40,5 +46,6 @@ def test_criterion_8_trace(capsys, tmp_path):
 def test_default_sweep_csv(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--out", str(out)]) == 0
-    capsys.readouterr()
+    stdout = capsys.readouterr().out
     assert sha256_of(out) == DEFAULT_SWEEP_SHA
+    assert verify.check_report(stdout, workloads.WORKLOADS["sweep_grid"]) == (433392, [])
