@@ -16,10 +16,13 @@ deterministic for fixed inputs except bench's host timing fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import platform
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,13 +30,7 @@ from .fxp import Fx, OutOfRangeError, decode, encode, sqrt
 from .gipps import GippsOperands, InvalidOperandsError, gipps_reference, gipps_step
 from .pearray import DEFAULT_CLOCK_HZ, BatchReport, PeArrayConfig, dispatch_batch
 from .sim import CONFIG_KEYS, ConfigError, load_sim_config, run_sim, write_trace_csv
-from .sweep import (
-    DEFAULT_ACCELS,
-    DEFAULT_TIMES,
-    DEFAULT_VSTARS,
-    grid_cases,
-    run_sweep,
-)
+from .sweep import DEFAULT_ACCELS, DEFAULT_TIMES, DEFAULT_VSTARS, grid_cases, run_sweep
 
 _BENCH_SEED = 20260815    # fixed so bench operand sets are reproducible
 
@@ -103,11 +100,33 @@ def _axis(text: str) -> tuple[float, ...]:
     return values
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[str]:
+    """Yield a new temp path beside ``path``: moved over ``path`` on
+    success, removed on any exception (KeyboardInterrupt included)."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield path          # a device or FIFO such as /dev/null: write in place
+        return
+    target = os.path.realpath(path)     # replace a symlink's target, not the link
+    tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    try:
+        open(tmp, "x").close()
+    except OSError as exc:          # report the path asked for, not the temp name
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cases = grid_cases(args.vstars, args.accels, args.times,
                        v_equals_vstar=args.v_equals_vstar)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        summary = run_sweep(cases, row_sink=fh.write)
+    with _replacing(args.out) as tmp:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            summary = run_sweep(cases, row_sink=fh.write)
     for line in summary.lines():
         print(line)
     if summary.first_mismatch is not None:
@@ -119,7 +138,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     cfg = load_sim_config(args.config, overrides)
     rows, report = run_sim(cfg, _pe_config(args))
-    write_trace_csv(rows, args.out)
+    with _replacing(args.out) as tmp:
+        write_trace_csv(rows, tmp)
     print(f"trace: {args.out} ({len(rows)} rows)")
     for line in report.lines():
         print(line)

@@ -45,12 +45,8 @@ class Fx(NamedTuple):
 
     raw: int
 
-    @property
-    def value(self) -> float:
-        return self.raw / SCALE
-
     def __repr__(self) -> str:
-        return f"Fx({self.raw}={self.value:.6f})"
+        return f"Fx({self.raw}={decode(self):.6f})"
 
 
 ZERO = Fx(0)

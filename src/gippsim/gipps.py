@@ -25,7 +25,6 @@ from .fxp import Fx, SqrtTrace
 
 K1 = Fx(160)   # 2.5, exact in Q8.6
 K2 = Fx(2)     # 0.025 quantized to the nearest word, 0.03125
-ONE = fxp.ONE
 
 
 class InvalidOperandsError(ValueError):
@@ -81,7 +80,7 @@ def gipps_step(ops: GippsOperands) -> GippsResult:
     """Run one velocity update through the fixed-point pipeline."""
     ops.validate()
     q, _ = fxp.div(ops.v, ops.vstar)       # q <= 1.0 since v <= vstar
-    f, _ = fxp.sub(ONE, q)
+    f, _ = fxp.sub(fxp.ONE, q)
     r, _ = fxp.add(K2, q)                  # radicand raw in 2..66
     s, strace = fxp.sqrt(r)
     p1, _ = fxp.mul(K1, ops.a)

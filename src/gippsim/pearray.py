@@ -3,14 +3,15 @@
 Each PE runs one velocity update at a time (no pipelining); a batch is
 assigned round-robin, so a batch of N in-domain updates on P PEs costs
 ceil(N / P) * 4 cycles.  PE count and clock only change the timing
-model, never the arithmetic: results are computed in batch order and
-are bit-identical whatever the host does for parallelism.
+model, never the arithmetic: each operand set is validated and computed
+once, in batch order, by ``gipps_step``, so results are bit-identical
+whatever the host does for parallelism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .gipps import GippsOperands, GippsResult, InvalidOperandsError, gipps_step
 
@@ -48,22 +49,20 @@ class BatchReport:
 
 
 def dispatch_batch(
-    batch: Iterable[GippsOperands] | Sequence[GippsOperands],
+    batch: Iterable[GippsOperands],
     cfg: PeArrayConfig = PeArrayConfig(),
 ) -> tuple[list[GippsResult], BatchReport]:
     """Run a batch and model its latency on the PE array.
 
     Raises InvalidOperandsError naming the first offending batch index;
-    nothing is computed in that case.
+    the ops are pure, so the results before it are discarded.
     """
-    ops_list = list(batch)
-    for i, ops in enumerate(ops_list):
+    results = []
+    for i, ops in enumerate(batch):
         try:
-            ops.validate()
+            results.append(gipps_step(ops))
         except InvalidOperandsError as exc:
             raise InvalidOperandsError(f"operand {i}: {exc}") from None
-
-    results = [gipps_step(ops) for ops in ops_list]
     # every valid op has the same latency, so the busiest PE, the one
     # that gets ceil(N/P) ops round-robin, sets the batch latency
     per_op = max((res.cycles for res in results), default=0)

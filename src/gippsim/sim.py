@@ -1,12 +1,15 @@
 """Synthetic single-lane traffic workload driving the PE array.
 
-A column of vehicles starts at rest with fixed spacing; every step
-feeds one velocity update per vehicle through ``dispatch_batch``, then
-clamps each new velocity at the vehicle's desired speed and advances
-positions by velocity * T.  Vehicles never interact: the point of the
-workload is throughput and trace realism, not collision dynamics, so
-gaps are recorded as they come (a fast follower behind a slow leader
-will eventually close its gap through zero).
+The fleet is two per-vehicle constants (desired speed, maximum
+acceleration) plus two state columns that ``run_sim`` owns: velocity
+words, all starting at rest, and float positions, starting at fixed
+spacing with the leader at index 0.  Every step feeds one velocity
+update per vehicle through ``dispatch_batch``, clamps each new velocity
+at the vehicle's desired speed and advances its position by
+velocity * T.  Vehicles never interact: the point of the workload is
+throughput and trace realism, not collision dynamics, so gaps are
+recorded as they come (a fast follower behind a slow leader will
+eventually close its gap through zero).
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
 ``SimConfig.seed``; per vehicle, desired speed is drawn first, then
@@ -17,13 +20,12 @@ same fleet, bit for bit.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, fields
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import fxp
-from .fxp import Fx, OutOfRangeError, decode, encode
+from .fxp import ZERO, Fx, OutOfRangeError, decode, encode
 from .gipps import GippsOperands
 from .pearray import BatchReport, PeArrayConfig, dispatch_batch
 
@@ -69,17 +71,12 @@ class SimConfig:
             raise ConfigError("min_desired_speed quantizes to zero")
 
 
-@dataclass(frozen=True)
-class Vehicle:
-    vehicle_id: int
-    position_m: float
-    velocity: Fx
+class Vehicle(NamedTuple):
     desired_speed: Fx
     max_accel: Fx
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     step: int
     vehicle_id: int
     velocity: float
@@ -95,43 +92,34 @@ class TraceRow:
 
 
 def init_fleet(cfg: SimConfig) -> list[Vehicle]:
-    """Fleet at rest: index 0 is the leader at the largest position."""
+    """Per-vehicle constants, drawn from the seed in vehicle order."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     fleet = []
-    for i in range(cfg.n_vehicles):
+    for _ in range(cfg.n_vehicles):
         desired = encode(float(rng.uniform(cfg.min_desired_speed, cfg.max_desired_speed)))
         accel = encode(float(rng.uniform(cfg.min_accel, cfg.max_accel)))
-        fleet.append(Vehicle(
-            vehicle_id=i,
-            position_m=(cfg.n_vehicles - 1 - i) * cfg.initial_spacing_m,
-            velocity=fxp.ZERO,
-            desired_speed=desired,
-            max_accel=accel,
-        ))
+        fleet.append(Vehicle(desired, accel))
     return fleet
 
 
 def step_sim(
-    vehicles: Sequence[Vehicle],
+    fleet: Sequence[Vehicle],
+    vel: list[Fx],
+    pos: list[float],
     cfg: SimConfig,
     pe_cfg: PeArrayConfig = PeArrayConfig(),
-) -> tuple[list[Vehicle], BatchReport]:
-    """Advance every vehicle by one step of cfg.step_t seconds."""
+) -> BatchReport:
+    """Advance vel and pos in place by one step of cfg.step_t seconds."""
     batch = [
-        GippsOperands(v.max_accel, cfg.step_t, v.desired_speed, v.velocity)
-        for v in vehicles
+        GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, v)
+        for veh, v in zip(fleet, vel)
     ]
     results, report = dispatch_batch(batch, pe_cfg)
     dt = decode(cfg.step_t)
-    advanced = []
-    for veh, res in zip(vehicles, results):
-        new_v = Fx(min(res.va.raw, veh.desired_speed.raw))   # clamp host-side
-        advanced.append(replace(
-            veh,
-            velocity=new_v,
-            position_m=veh.position_m + decode(new_v) * dt,
-        ))
-    return advanced, report
+    for i, (veh, res) in enumerate(zip(fleet, results)):
+        vel[i] = Fx(min(res.va.raw, veh.desired_speed.raw))   # clamp host-side
+        pos[i] = pos[i] + decode(vel[i]) * dt
+    return report
 
 
 def run_sim(
@@ -143,21 +131,23 @@ def run_sim(
     Trace rows carry post-step state, step numbering from 1.  The
     aggregate report sums ops, cycles and modeled time over all steps.
     """
-    vehicles = init_fleet(cfg)
+    fleet = init_fleet(cfg)
+    n = cfg.n_vehicles
+    vel = [ZERO] * n
+    pos = [(n - 1 - i) * cfg.initial_spacing_m for i in range(n)]
     rows: list[TraceRow] = []
     ops = cycles = 0
     time_ns = 0.0
     per_op = 0
     for step in range(1, cfg.n_steps + 1):
-        vehicles, report = step_sim(vehicles, cfg, pe_cfg)
+        report = step_sim(fleet, vel, pos, cfg, pe_cfg)
         ops += report.ops
         cycles += report.cycles
         time_ns += report.modeled_time_ns
         per_op = max(per_op, report.per_op_cycles)
-        for i, veh in enumerate(vehicles):
-            gap = None if i == 0 else vehicles[i - 1].position_m - veh.position_m
-            rows.append(TraceRow(step, veh.vehicle_id, decode(veh.velocity),
-                                 veh.position_m, gap))
+        for i in range(n):
+            gap = None if i == 0 else pos[i - 1] - pos[i]
+            rows.append(TraceRow(step, i, decode(vel[i]), pos[i], gap))
     return rows, BatchReport(ops, cycles, time_ns, per_op)
 
 
@@ -212,7 +202,7 @@ def load_sim_config(
     overrides (``None`` override entries are ignored, so CLI flags can
     be passed through directly).
     """
-    values: dict[str, float | int] = {}
+    values: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
@@ -222,10 +212,9 @@ def load_sim_config(
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
-    kwargs: dict = dict(values)
-    if "step_t" in kwargs:
+    if "step_t" in values:
         try:
-            kwargs["step_t"] = encode(float(kwargs["step_t"]))
+            values["step_t"] = encode(float(values["step_t"]))
         except OutOfRangeError as exc:
             raise ConfigError(f"step_t not representable: {exc}") from None
-    return SimConfig(**kwargs)
+    return SimConfig(**values)

@@ -44,18 +44,13 @@ def grid_cases(
     for t in et:
         for vs in evs:
             GippsOperands(ZERO, t, vs, ZERO).validate()
-    return _grid(ea, et, evs, v_equals_vstar)
-
-
-def _grid(
-    accels: list[Fx], times: list[Fx], vstars: list[Fx], v_equals_vstar: bool,
-) -> Iterator[GippsOperands]:
-    for a in accels:
-        for t in times:
-            for vs in vstars:
-                lo = vs.raw if v_equals_vstar else 0
-                for vraw in range(lo, vs.raw + 1):
-                    yield GippsOperands(a, t, vs, Fx(vraw))
+    return (
+        GippsOperands(a, t, vs, Fx(vraw))
+        for a in ea
+        for t in et
+        for vs in evs
+        for vraw in range(vs.raw if v_equals_vstar else 0, vs.raw + 1)
+    )
 
 
 @dataclass

@@ -1,8 +1,12 @@
+import os
+import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from gippsim import cli
 from gippsim.cli import build_parser, main
 from gippsim.fxp import Fx
 from gippsim.sim import TRACE_HEADER, SimConfig, load_sim_config
@@ -87,7 +91,7 @@ def test_sweep_v_equals_vstar_is_exact(capsys, tmp_path):
 def test_sweep_unwritable_path(capsys):
     code, _, err = run_cli(capsys, "sweep", "--out", "/nonexistent/x.csv")
     assert code == 1
-    assert "i/o error" in err
+    assert err == "i/o error: [Errno 2] No such file or directory: '/nonexistent/x.csv'\n"
 
 
 @pytest.mark.parametrize("axis", [
@@ -100,6 +104,71 @@ def test_sweep_bad_axis_keeps_existing_output(capsys, tmp_path, axis):
     assert code == 1
     assert err.startswith("error: ")
     assert out_csv.read_bytes() == b"keep me\n"
+
+
+def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path):
+    real = cli.run_sweep
+
+    def run_sweep(cases, row_sink):
+        written = []
+
+        def sink(line):
+            if len(written) == 100:
+                raise KeyboardInterrupt
+            written.append(line)
+            row_sink(line)
+        return real(cases, row_sink=sink)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep)
+    out_csv = tmp_path / "sweep.csv"
+    out_csv.write_bytes(b"keep me\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--out", str(out_csv)])
+    assert out_csv.read_bytes() == b"keep me\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_sim_failed_write_keeps_existing_output(capsys, monkeypatch, tmp_path):
+    def write_trace_csv(rows, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("step,vehicle_id")
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_trace_csv", write_trace_csv)
+    out_csv = tmp_path / "trace.csv"
+    out_csv.write_bytes(b"keep me\n")
+    code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), "--n-steps", "2")
+    assert code == 1
+    assert "disk full" in err
+    assert out_csv.read_bytes() == b"keep me\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def test_output_replaces_symlink_target(capsys, tmp_path):
+    target = tmp_path / "trace.csv"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "sim", "--out", str(link), "--n-steps", "1")
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith(TRACE_HEADER + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "trace.csv"]
+
+
+def test_sim_writes_to_fifo_in_place(capsys, tmp_path):
+    # a device or FIFO (/dev/null, a pipe) is written, never replaced
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = run_cli(capsys, "sim", "--out", str(fifo), "--n-steps", "1")
+    reader.join(timeout=30)
+    assert code == 0
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got and got[0].startswith(TRACE_HEADER.encode())
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from gippsim.sim import (
     ConfigError,
     SimConfig,
     TRACE_HEADER,
+    Vehicle,
     format_trace,
     init_fleet,
     load_sim_config,
@@ -29,11 +30,17 @@ def single_vehicle_cfg(**kw):
 
 
 def test_fleet_layout():
-    cfg = SimConfig(n_vehicles=4, initial_spacing_m=7.5)
+    cfg = SimConfig(n_vehicles=4, n_steps=1, initial_spacing_m=7.5)
     fleet = init_fleet(cfg)
-    assert [v.vehicle_id for v in fleet] == [0, 1, 2, 3]
-    assert [v.position_m for v in fleet] == [22.5, 15.0, 7.5, 0.0]
-    assert all(v.velocity.raw == 0 for v in fleet)
+    assert Vehicle._fields == ("desired_speed", "max_accel")
+    rows, _ = run_sim(cfg)
+    assert [r.vehicle_id for r in rows] == [0, 1, 2, 3]
+    # rows hold post-step state: undo the one position update
+    dt = decode(cfg.step_t)
+    assert [r.position_m - r.velocity * dt for r in rows] == [22.5, 15.0, 7.5, 0.0]
+    for row, v in zip(rows, fleet):             # the first update starts at rest
+        va = pipeline_oracle(GippsOperands(v.max_accel, cfg.step_t, v.desired_speed, Fx(0))).va
+        assert row.velocity == decode(Fx(min(va.raw, v.desired_speed.raw)))
     for v in fleet:
         assert encode(cfg.min_desired_speed).raw <= v.desired_speed.raw
         assert v.desired_speed.raw <= encode(cfg.max_desired_speed).raw
@@ -51,10 +58,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
+    vel, pos = [Fx(0)], [0.0]
     # drive far past saturation
     for _ in range(400):
-        fleet, _ = step_sim(fleet, cfg)
-    assert fleet[0].velocity.raw == fleet[0].desired_speed.raw
+        step_sim(fleet, vel, pos, cfg)
+    assert vel[0].raw == fleet[0].desired_speed.raw
 
 
 def test_single_vehicle_monotone_bounded_stabilizing():
@@ -88,10 +96,21 @@ def test_single_vehicle_exact_sequence():
 def test_positions_integrate_velocity():
     cfg = SimConfig(n_vehicles=3, n_steps=1)
     fleet = init_fleet(cfg)
-    stepped, _ = step_sim(fleet, cfg)
-    for before, after in zip(fleet, stepped):
-        dx = decode(after.velocity) * decode(cfg.step_t)
-        assert after.position_m == before.position_m + dx
+    vel, pos = [Fx(0)] * 3, [20.0, 10.0, 0.0]
+    report = step_sim(fleet, vel, pos, cfg, PeArrayConfig(num_pes=2))
+    assert report.ops == 3 and report.cycles == 8
+    for before, after, v in zip([20.0, 10.0, 0.0], pos, vel):
+        assert v.raw > 0
+        assert after == before + decode(v) * decode(cfg.step_t)
+
+
+def test_each_operand_validated_once(monkeypatch):
+    calls = []
+    real = GippsOperands.validate
+    monkeypatch.setattr(GippsOperands, "validate",
+                        lambda self: calls.append(1) or real(self))
+    run_sim(SimConfig(n_vehicles=7, n_steps=3), PeArrayConfig(num_pes=2))
+    assert len(calls) == 7 * 3
 
 
 def test_run_sim_aggregate_report():
