@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gippsim.fxp import Fx, decode, encode
+from gippsim import pearray
+from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, div, encode
 from gippsim.gipps import GippsOperands
 from gippsim.oracle import pipeline_oracle
-from gippsim.pearray import PeArrayConfig
+from gippsim.pearray import BatchReport, PeArrayConfig, dispatch_batch
 from gippsim.sim import (
     ConfigError,
     SimConfig,
     TRACE_HEADER,
+    TraceRow,
     Vehicle,
     format_trace,
     init_fleet,
@@ -58,11 +61,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
-    vel, pos = [Fx(0)], [0.0]
+    vel, pos, tails = [0], [0.0], {}
     # drive far past saturation
     for _ in range(400):
-        step_sim(fleet, vel, pos, cfg)
-    assert vel[0].raw == fleet[0].desired_speed.raw
+        step_sim(fleet, vel, pos, tails, cfg)
+    assert vel[0] == fleet[0].desired_speed.raw
 
 
 def test_single_vehicle_monotone_bounded_stabilizing():
@@ -96,21 +99,93 @@ def test_single_vehicle_exact_sequence():
 def test_positions_integrate_velocity():
     cfg = SimConfig(n_vehicles=3, n_steps=1)
     fleet = init_fleet(cfg)
-    vel, pos = [Fx(0)] * 3, [20.0, 10.0, 0.0]
-    report = step_sim(fleet, vel, pos, cfg, PeArrayConfig(num_pes=2))
+    vel, pos = [0] * 3, [20.0, 10.0, 0.0]
+    report = step_sim(fleet, vel, pos, {}, cfg, PeArrayConfig(num_pes=2))
     assert report.ops == 3 and report.cycles == 8
     for before, after, v in zip([20.0, 10.0, 0.0], pos, vel):
-        assert v.raw > 0
-        assert after == before + decode(v) * decode(cfg.step_t)
+        assert v > 0
+        assert after == before + decode(Fx(v)) * decode(cfg.step_t)
 
 
 def test_each_operand_validated_once(monkeypatch):
-    calls = []
-    real = GippsOperands.validate
+    validated, stepped = [], []
+    real_validate, real_step = GippsOperands.validate, pearray.gipps_step
     monkeypatch.setattr(GippsOperands, "validate",
-                        lambda self: calls.append(1) or real(self))
+                        lambda self: validated.append(1) or real_validate(self))
+    monkeypatch.setattr(pearray, "gipps_step",
+                        lambda ops: stepped.append(ops) or real_step(ops))
     run_sim(SimConfig(n_vehicles=7, n_steps=3), PeArrayConfig(num_pes=2))
-    assert len(calls) == 7 * 3
+    assert len(validated) == len(stepped) > 0
+
+    # criterion-8 shape: one datapath run per distinct (a, q) the fleet
+    # meets, q taken from each step's pre-step velocities
+    stepped.clear()
+    cfg = SimConfig(n_vehicles=100, n_steps=500)
+    n = cfg.n_vehicles
+    rows, _ = run_sim(cfg, PeArrayConfig(num_pes=16))
+    fleet = init_fleet(cfg)
+    before = [0] * n
+    keys = set()
+    for step in range(cfg.n_steps):
+        for veh, v in zip(fleet, before):
+            keys.add((veh.max_accel.raw, div(Fx(v), veh.desired_speed)[0].raw))
+        before = [encode(r.velocity).raw for r in rows[step * n:(step + 1) * n]]
+    assert len(stepped) == len(keys) < n * cfg.n_steps
+
+
+def per_vehicle_sim(cfg, pe_cfg):
+    """The sim with every vehicle's update run through the datapath at
+    every step, the same clamp and the same position expression."""
+    fleet = init_fleet(cfg)
+    n = cfg.n_vehicles
+    vel = [Fx(0)] * n
+    pos = [(n - 1 - i) * cfg.initial_spacing_m for i in range(n)]
+    dt = decode(cfg.step_t)
+    rows = []
+    ops = cycles = per_op = 0
+    time_ns = 0.0
+    for step in range(1, cfg.n_steps + 1):
+        results, report = dispatch_batch(
+            [GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, v)
+             for veh, v in zip(fleet, vel)], pe_cfg)
+        ops += report.ops
+        cycles += report.cycles
+        time_ns += report.modeled_time_ns
+        per_op = max(per_op, report.per_op_cycles)
+        for i, (veh, res) in enumerate(zip(fleet, results)):
+            vel[i] = Fx(min(res.va.raw, veh.desired_speed.raw))
+            pos[i] = pos[i] + decode(vel[i]) * dt
+        for i in range(n):
+            gap = None if i == 0 else pos[i - 1] - pos[i]
+            rows.append(TraceRow(step, i, decode(vel[i]), pos[i], gap))
+    return rows, BatchReport(ops, cycles, time_ns, per_op)
+
+
+@st.composite
+def sim_cases(draw):
+    # desired speeds down to 0.1 m/s (raw 6) make q sparse; accelerations
+    # up to 200 and any step_t word saturate p1 and p2
+    speed_hi = draw(st.one_of(st.floats(0.1, 1.0), st.floats(0.1, VALUE_MAX)))
+    accel_hi = draw(st.floats(0.0, 200.0))
+    cfg = SimConfig(
+        step_t=Fx(draw(st.integers(1, RAW_MAX))),
+        n_steps=draw(st.integers(1, 80)),
+        n_vehicles=draw(st.integers(1, 6)),
+        initial_spacing_m=draw(st.floats(0.0, 50.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        min_desired_speed=draw(st.floats(0.1, speed_hi)),
+        max_desired_speed=speed_hi,
+        min_accel=draw(st.floats(0.0, accel_hi)),
+        max_accel=accel_hi,
+    )
+    return cfg, PeArrayConfig(num_pes=draw(st.integers(1, 16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sim_cases())
+def test_run_sim_equals_per_vehicle_datapath(case):
+    cfg, pe_cfg = case
+    assert run_sim(cfg, pe_cfg) == per_vehicle_sim(cfg, pe_cfg)
 
 
 def test_run_sim_aggregate_report():
