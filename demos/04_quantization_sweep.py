@@ -10,9 +10,9 @@ the steepest part of the square root and the a*T gain scales it up.
 
 from gippsim.fxp import decode
 from gippsim.gipps import gipps_reference, gipps_step
-from gippsim.sweep import grid_cases, run_sweep
+from gippsim.sweep import grid_blocks, grid_cases, run_sweep
 
-summary = run_sweep(grid_cases(vstars=(5.0, 20.0, 70.0)))
+summary = run_sweep(grid_blocks(vstars=(5.0, 20.0, 70.0)))
 
 print("sweep of a compact grid (3 desired speeds x 4 accels x 3 times):")
 for line in summary.lines():

@@ -30,7 +30,7 @@ from .fxp import Fx, OutOfRangeError, decode, encode, sqrt
 from .gipps import GippsOperands, InvalidOperandsError, gipps_reference, gipps_step
 from .pearray import DEFAULT_CLOCK_HZ, BatchReport, PeArrayConfig, dispatch_batch
 from .sim import CONFIG_KEYS, ConfigError, load_sim_config, run_sim, write_trace_csv
-from .sweep import DEFAULT_ACCELS, DEFAULT_TIMES, DEFAULT_VSTARS, grid_cases, run_sweep
+from .sweep import DEFAULT_ACCELS, DEFAULT_TIMES, DEFAULT_VSTARS, grid_blocks, run_sweep
 
 _BENCH_SEED = 20260815    # fixed so bench operand sets are reproducible
 
@@ -122,15 +122,15 @@ def _replacing(path: str) -> Iterator[str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cases = grid_cases(args.vstars, args.accels, args.times,
-                       v_equals_vstar=args.v_equals_vstar)
+    blocks = grid_blocks(args.vstars, args.accels, args.times,
+                         v_equals_vstar=args.v_equals_vstar)
     with _replacing(args.out) as tmp:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            summary = run_sweep(cases, row_sink=fh.write)
+            summary = run_sweep(blocks, row_sink=fh.write)
     for line in summary.lines():
         print(line)
-    if summary.first_mismatch is not None:
-        print(f"first mismatch: {summary.first_mismatch}", file=sys.stderr)
+    for line in summary.mismatch_report:
+        print(line, file=sys.stderr)
     return 0 if summary.passed else 1
 
 

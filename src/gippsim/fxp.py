@@ -14,6 +14,11 @@ Rounding matches the hardware unit for unit:
 * ``sqrt`` is a table-seeded Babylonian unit; its result is the exact
   floor square root and it reports a per-pass trace.
 
+The ``Fx`` ops wrap raw-level forms (``add_raw``, ``sub_raw``,
+``mul_raw``, ``div_raw``, ``sqrt_raw``); the first four run unchanged on
+Python ints and on int64 numpy arrays, which is how the sweep evaluates
+a whole block of velocities at once.
+
 All operations are pure: same operands, same words, no hidden state.
 """
 
@@ -70,20 +75,52 @@ def decode(v: Fx) -> float:
     return v.raw / SCALE
 
 
+# Raw-level ops.  Each takes raw words, as Python ints or as int64 numpy
+# arrays alike, and returns (word, clamped).  They are branch-free: the
+# clamp is mask arithmetic, so one copy of each rounding rule serves the
+# scalar ``Fx`` ops below and the array datapath.
+
+def add_raw(x, y):
+    """Saturating add of raw words; clamped where the sum passed 16383."""
+    t = x + y
+    clamped = t > RAW_MAX
+    return t - (t - RAW_MAX) * clamped, clamped
+
+
+def sub_raw(x, y):
+    """Saturating subtract of raw words; clamped where it went below 0."""
+    t = x - y
+    clamped = t < 0
+    return t - t * clamped, clamped
+
+
+def mul_raw(x, y):
+    """Raw product rounded once to Q8.6 (ties up), saturated at 16383."""
+    t = (x * y + _HALF) >> FRAC_BITS
+    clamped = t > RAW_MAX
+    return t - (t - RAW_MAX) * clamped, clamped
+
+
+def div_raw(x, y):
+    """Truncating raw quotient floor(x * 64 / y), saturated at 16383.
+
+    ``y`` must be nonzero; ``div`` raises on a zero divisor word.
+    """
+    t = (x << FRAC_BITS) // y
+    clamped = t > RAW_MAX
+    return t - (t - RAW_MAX) * clamped, clamped
+
+
 def add(a: Fx, b: Fx) -> tuple[Fx, bool]:
     """Saturating add.  Flag is True when the sum clamped at 16383."""
-    t = a.raw + b.raw
-    if t > RAW_MAX:
-        return Fx(RAW_MAX), True
-    return Fx(t), False
+    r, clamped = add_raw(a.raw, b.raw)
+    return Fx(r), clamped
 
 
 def sub(a: Fx, b: Fx) -> tuple[Fx, bool]:
     """Saturating subtract.  Flag is True when the result clamped at 0."""
-    t = a.raw - b.raw
-    if t < 0:
-        return ZERO, True
-    return Fx(t), False
+    r, clamped = sub_raw(a.raw, b.raw)
+    return Fx(r), clamped
 
 
 def mul(a: Fx, b: Fx) -> tuple[Fx, bool]:
@@ -91,10 +128,8 @@ def mul(a: Fx, b: Fx) -> tuple[Fx, bool]:
 
     The full 28-bit product is rounded once, back to Q8.6.
     """
-    r = (a.raw * b.raw + _HALF) >> FRAC_BITS
-    if r > RAW_MAX:
-        return Fx(RAW_MAX), True
-    return Fx(r), False
+    r, clamped = mul_raw(a.raw, b.raw)
+    return Fx(r), clamped
 
 
 def div(a: Fx, b: Fx) -> tuple[Fx, bool]:
@@ -105,10 +140,8 @@ def div(a: Fx, b: Fx) -> tuple[Fx, bool]:
     """
     if b.raw == 0:
         raise DivideByZeroError("divide by raw 0")
-    r = (a.raw << FRAC_BITS) // b.raw
-    if r > RAW_MAX:
-        return Fx(RAW_MAX), True
-    return Fx(r), False
+    r, clamped = div_raw(a.raw, b.raw)
+    return Fx(r), clamped
 
 
 # Seed ROM for the square root unit.  Index is the top 4 significant
@@ -154,7 +187,13 @@ def _sqrt_seed(t: int) -> int:
 
 
 def sqrt(s: Fx) -> tuple[Fx, SqrtTrace]:
-    """Exact floor square root of a Q8.6 word, with trace.
+    """Exact floor square root of a Q8.6 word, with trace."""
+    root, trace = sqrt_raw(s.raw)
+    return Fx(root), trace
+
+
+def sqrt_raw(raw: int) -> tuple[int, SqrtTrace]:
+    """The square root unit on one raw word: root raw and pass trace.
 
     The radicand is widened to t = raw * 64 so the root stays in Q8.6:
     the result raw is floor(sqrt(t)).  Babylonian refinement runs from
@@ -163,9 +202,9 @@ def sqrt(s: Fx) -> tuple[Fx, SqrtTrace]:
     of 6.  The answer is the smaller of the last two iterates, fixed up
     by at most one decrement so that r*r <= t < (r+1)*(r+1) holds.
     """
-    t = s.raw << FRAC_BITS
+    t = raw << FRAC_BITS
     if t == 0:
-        return ZERO, SqrtTrace(0, 0, ())
+        return 0, SqrtTrace(0, 0, ())
     x0 = _sqrt_seed(t)
     prev = x0
     iterates: list[int] = []
@@ -180,4 +219,4 @@ def sqrt(s: Fx) -> tuple[Fx, SqrtTrace]:
     root = min(iterates[-2], iterates[-1]) if len(iterates) >= 2 else iterates[-1]
     if root * root > t:
         root -= 1
-    return Fx(root), SqrtTrace(s.raw, x0, tuple(iterates))
+    return root, SqrtTrace(raw, x0, tuple(iterates))

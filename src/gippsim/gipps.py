@@ -7,7 +7,9 @@ The datapath evaluates
 with a fixed stage order: one divide, one subtract, one constant add,
 the seeded square root, then a four-multiply chain and the final add.
 ``gipps_reference`` is the ideal real-arithmetic counterpart used for
-accuracy sweeps.
+accuracy sweeps.  ``gipps_block`` and ``gipps_reference_block`` are the
+same two computations over a block of velocities that share a, T and
+V*, on numpy arrays, for the sweep.
 
 Latency model: 1 cycle for divide/subtract/radicand add, the square
 root's Newton passes (2 in the instruction's operating domain), and
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import fxp
 from .fxp import Fx, SqrtTrace
@@ -91,6 +95,58 @@ def gipps_step(ops: GippsOperands) -> GippsResult:
     return GippsResult(va, 2 + strace.iterations, q, f, r, s, p1, p2, p3, p4, strace)
 
 
+@dataclass(frozen=True)
+class GippsBlock:
+    """Raw words of a block of updates that share a, T and V*: one int64
+    array per stage over the block's velocities (``p1`` and ``p2`` are
+    one word per block), the cycle counts, and the cases where a clamp
+    fired in any stage."""
+
+    va: np.ndarray
+    cycles: np.ndarray
+    q: np.ndarray
+    f: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+    p1: int
+    p2: int
+    p3: np.ndarray
+    p4: np.ndarray
+    saturated: np.ndarray
+
+    def case_words(self, i: int) -> list[tuple[str, int]]:
+        """Stage words, va and cycles of case ``i``, in pipeline order."""
+        names = ("q", "f", "r", "s", "p1", "p2", "p3", "p4", "va", "cycles")
+        return [(name, int(np.broadcast_to(getattr(self, name), self.va.shape)[i]))
+                for name in names]
+
+
+def gipps_block(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
+    """Run a block of updates through the datapath at once.
+
+    ``v`` is an int64 array of raw velocities; a, T and V* are shared.
+    The stages are ``gipps_step``'s, in its order, on the same rounding
+    rules (the raw-level ops), so case i equals ``gipps_step`` on
+    (a, T, V*, v[i]).  The sqrt unit depends on the radicand word alone
+    and runs once per distinct radicand in the block.
+    """
+    GippsOperands(a, T, vstar, Fx(int(v.max(initial=0)))).validate()
+    q, c_q = fxp.div_raw(v, vstar.raw)
+    f, c_f = fxp.sub_raw(fxp.ONE.raw, q)
+    r, c_r = fxp.add_raw(K2.raw, q)
+    radicands, at = np.unique(r, return_inverse=True)
+    units = [fxp.sqrt_raw(x) for x in radicands.tolist()]
+    s = np.array([root for root, _ in units], dtype=np.int64)[at]
+    cycles = np.array([2 + tr.iterations for _, tr in units], dtype=np.int64)[at]
+    p1, c_1 = fxp.mul_raw(K1.raw, a.raw)
+    p2, c_2 = fxp.mul_raw(p1, T.raw)
+    p3, c_3 = fxp.mul_raw(p2, f)
+    p4, c_4 = fxp.mul_raw(p3, s)
+    va, c_va = fxp.add_raw(v, p4)
+    saturated = c_q | c_f | c_r | c_1 | c_2 | c_3 | c_4 | c_va
+    return GippsBlock(va, cycles, q, f, r, s, p1, p2, p3, p4, saturated)
+
+
 def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:
     """Ideal acceleration-phase velocity update in real arithmetic."""
     if vstar <= 0.0:
@@ -101,3 +157,15 @@ def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:
         raise ValueError("velocity must lie in [0, vstar]")
     ratio = v / vstar
     return v + 2.5 * a * T * (1.0 - ratio) * math.sqrt(0.025 + ratio)
+
+
+def gipps_reference_block(a: float, T: float, vstar: float, v: np.ndarray) -> np.ndarray:
+    """``gipps_reference`` over a float64 array of velocities.
+
+    The same operations in the same order, elementwise: each element is
+    the scalar call's result bit for bit (IEEE multiply, add and sqrt
+    are correctly rounded in both).  The operands are not checked; a
+    caller passes decoded words that already passed ``validate``.
+    """
+    ratio = v / vstar
+    return v + 2.5 * a * T * (1.0 - ratio) * np.sqrt(0.025 + ratio)

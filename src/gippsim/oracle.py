@@ -6,12 +6,18 @@ root with explicit fix-up instead of the Babylonian unit, and its own
 copy of the pass-counting rules.  Tests hold ``pipeline_oracle`` and
 ``gipps.gipps_step`` bit for bit against each other, so a defect in
 either one surfaces as a mismatch instead of hiding in shared code.
+
+``block_oracle`` is the same evaluation over a block of velocities that
+share a, T and V*, on int64 arrays: one body serves both, written so
+that it runs on Python ints and on arrays alike.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .fxp import Fx, SqrtTrace
-from .gipps import GippsOperands, GippsResult, InvalidOperandsError
+from .gipps import GippsBlock, GippsOperands, GippsResult, InvalidOperandsError
 
 _RAW_MAX = 16383
 
@@ -58,34 +64,79 @@ def _sqrt_unit_trace(raw: int) -> SqrtTrace:
     return SqrtTrace(raw, x0, tuple(chain[1:]))
 
 
-def pipeline_oracle(ops: GippsOperands) -> GippsResult:
-    """Evaluate one update with arbitrary-precision integers."""
-    a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
+def _sqrt_passes(raw: int) -> int:
+    return _sqrt_unit_trace(raw).iterations
+
+
+def _floor_root(raw: int) -> int:
+    """Floor square root of a radicand word, kept in Q8.6."""
+    return floor_isqrt(raw * 64)
+
+
+def _check(T: int, V: int, v_top: int) -> None:
     if V == 0:
         raise InvalidOperandsError("desired speed must be positive")
     if T == 0:
         raise InvalidOperandsError("reaction time must be positive")
-    if v > V:
-        raise InvalidOperandsError(f"velocity raw {v} exceeds desired speed raw {V}")
+    if v_top > V:
+        raise InvalidOperandsError(f"velocity raw {v_top} exceeds desired speed raw {V}")
 
-    def round_mul(x: int, y: int) -> int:
-        p = (x * y + 32) // 64
-        return p if p <= _RAW_MAX else _RAW_MAX
 
-    q = (v * 64) // V                  # 0..64, divide cannot overflow here
+def _clamp(x):
+    """min(x, 16383) and whether x exceeded it; ints or arrays."""
+    return (x + _RAW_MAX - abs(x - _RAW_MAX)) // 2, x > _RAW_MAX
+
+
+def _round_mul(x, y):
+    return _clamp((x * y + 32) // 64)
+
+
+def _quotient(v, V):
+    return (v * 64) // V               # 0..64 for v <= V: cannot overflow
+
+
+def _stages(a, T, V, v, root):
+    """Every stage word, va, and where a result clamped.
+
+    ``v`` may be an int or an int64 array; ``root`` maps radicand words
+    to their floor square roots in the same form.
+    """
+    q = _quotient(v, V)
     f = 64 - q
     r = 2 + q
-    s = floor_isqrt(r * 64)
-    p1 = round_mul(160, a)
-    p2 = round_mul(p1, T)
-    p3 = round_mul(p2, f)
-    p4 = round_mul(p3, s)
-    va = v + p4
-    if va > _RAW_MAX:
-        va = _RAW_MAX
+    s = root(r)
+    p1, o1 = _round_mul(160, a)
+    p2, o2 = _round_mul(p1, T)
+    p3, o3 = _round_mul(p2, f)
+    p4, o4 = _round_mul(p3, s)
+    va, o5 = _clamp(v + p4)
+    return q, f, r, s, p1, p2, p3, p4, va, o1 | o2 | o3 | o4 | o5
 
+
+def _per_radicand(fn, r: np.ndarray) -> np.ndarray:
+    """``fn`` over an array of radicand words, once per distinct word."""
+    words, at = np.unique(r, return_inverse=True)
+    return np.array([fn(x) for x in words.tolist()], dtype=np.int64)[at]
+
+
+def pipeline_oracle(ops: GippsOperands) -> GippsResult:
+    """Evaluate one update with arbitrary-precision integers."""
+    a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
+    _check(T, V, v)
+    q, f, r, s, p1, p2, p3, p4, va, _ = _stages(a, T, V, v, _floor_root)
     strace = _sqrt_unit_trace(r)
     return GippsResult(
         Fx(va), 2 + strace.iterations,
         Fx(q), Fx(f), Fx(r), Fx(s), Fx(p1), Fx(p2), Fx(p3), Fx(p4), strace,
     )
+
+
+def block_oracle(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
+    """Evaluate a block of updates sharing a, T and V*; ``v`` is an
+    int64 array of raw velocities.  The root and the pass count depend
+    on the radicand word alone, so each distinct one is derived once."""
+    _check(T.raw, vstar.raw, int(v.max(initial=0)))
+    q, f, r, s, p1, p2, p3, p4, va, over = _stages(
+        a.raw, T.raw, vstar.raw, v, lambda r: _per_radicand(_floor_root, r))
+    cycles = 2 + _per_radicand(_sqrt_passes, r)
+    return GippsBlock(va, cycles, q, f, r, s, p1, p2, p3, p4, over)

@@ -5,6 +5,11 @@ desired speed with a small set of accelerations and reaction times;
 it is the domain the accelerator is meant to serve, and the sweep is
 the evidence that the datapath is exact (vs the oracle) and how far
 quantization pulls it from the real-arithmetic update.
+
+The grid is evaluated one (a, T, V*) block at a time: every velocity
+of a block goes through the array datapath, the oracle's array form
+and the ideal at once, as int64 and float64 arrays.  Nothing holds the
+whole grid; rows go to the sink one by one as each block is done.
 """
 
 from __future__ import annotations
@@ -13,9 +18,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .fxp import ZERO, Fx, decode, encode
-from .gipps import GippsOperands, gipps_reference, gipps_step
-from .oracle import pipeline_oracle
+import numpy as np
+
+from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode
+from .gipps import (
+    GippsOperands,
+    GippsResult,
+    gipps_block,
+    gipps_reference,
+    gipps_reference_block,
+    gipps_step,
+)
+from .oracle import block_oracle, pipeline_oracle
 
 DEFAULT_VSTARS = (5.0, 10.0, 20.0, 36.0, 70.0)
 DEFAULT_ACCELS = (0.5, 1.0, 2.0, 5.0)
@@ -23,20 +37,24 @@ DEFAULT_TIMES = (0.25, 0.5, 1.0)
 
 CSV_HEADER = "a,T,vstar,v,va_fixed,va_ideal,abs_err"
 
+# One block: a, T and V* words, and an int64 array of raw velocities.
+Block = tuple[Fx, Fx, Fx, np.ndarray]
 
-def grid_cases(
+
+def grid_blocks(
     vstars: Iterable[float] = DEFAULT_VSTARS,
     accels: Iterable[float] = DEFAULT_ACCELS,
     times: Iterable[float] = DEFAULT_TIMES,
     v_equals_vstar: bool = False,
-) -> Iterator[GippsOperands]:
-    """Iterate every grid operand set: all raw velocities 0..vstar.raw.
+) -> Iterator[Block]:
+    """Iterate the grid one (a, T, V*) block at a time: every raw
+    velocity 0..vstar.raw, in the order the CSV lists them.
 
     ``v_equals_vstar`` restricts the velocity axis to the single point
     v = vstar, where the update is exact.  The axes are encoded and
     checked against the instruction's preconditions before this
     returns (OutOfRangeError, InvalidOperandsError), so a bad axis
-    fails before any case runs; the cases themselves stay lazy.
+    fails before any case runs; the blocks themselves stay lazy.
     """
     ea = [encode(x) for x in accels]
     et = [encode(x) for x in times]
@@ -45,11 +63,25 @@ def grid_cases(
         for vs in evs:
             GippsOperands(ZERO, t, vs, ZERO).validate()
     return (
-        GippsOperands(a, t, vs, Fx(vraw))
+        (a, t, vs, np.arange(vs.raw if v_equals_vstar else 0, vs.raw + 1, dtype=np.int64))
         for a in ea
         for t in et
         for vs in evs
-        for vraw in range(vs.raw if v_equals_vstar else 0, vs.raw + 1)
+    )
+
+
+def grid_cases(
+    vstars: Iterable[float] = DEFAULT_VSTARS,
+    accels: Iterable[float] = DEFAULT_ACCELS,
+    times: Iterable[float] = DEFAULT_TIMES,
+    v_equals_vstar: bool = False,
+) -> Iterator[GippsOperands]:
+    """The grid's operand sets one at a time, in ``grid_blocks`` order
+    and with its up-front checks."""
+    return (
+        GippsOperands(a, t, vs, Fx(v))
+        for a, t, vs, block in grid_blocks(vstars, accels, times, v_equals_vstar)
+        for v in block.tolist()
     )
 
 
@@ -57,7 +89,8 @@ def grid_cases(
 class SweepSummary:
     cases: int = 0
     mismatches: int = 0
-    first_mismatch: GippsOperands | None = None
+    mismatch_report: list[str] = field(default_factory=list)   # first mismatch
+    saturated_cases: int = 0
     max_abs_err: float = 0.0
     mean_abs_err: float = 0.0
     max_sqrt_iterations: int = 0
@@ -81,51 +114,81 @@ class SweepSummary:
             f"mean_abs_err: {self.mean_abs_err:.9f}",
             f"max_sqrt_iterations: {self.max_sqrt_iterations}",
             f"cycle_histogram: {hist}",
+            f"saturated_cases: {self.saturated_cases}",
         ]
 
 
+def _result_words(res: GippsResult) -> list[tuple[str, int]]:
+    return [(n, fx.raw) for n, fx in res.stages()] + [("va", res.va.raw), ("cycles", res.cycles)]
+
+
+def _first_difference(ours: list[tuple[str, int]], theirs: list[tuple[str, int]]) -> str | None:
+    for (name, x), (_, y) in zip(ours, theirs):
+        if x != y:
+            return f"{name} datapath raw {x}, oracle raw {y}"
+    return None
+
+
+def _mismatch_report(ops: GippsOperands, words: list[tuple[str, int]],
+                     oracle_words: list[tuple[str, int]]) -> list[str]:
+    """The first mismatching case, where its block evaluation differs,
+    and the same case re-run through the scalar datapath and oracle."""
+    x = [decode(ops.a), decode(ops.T), decode(ops.vstar), decode(ops.v)]
+    scalar = _first_difference(_result_words(gipps_step(ops)), _result_words(pipeline_oracle(ops)))
+    return [
+        f"first mismatch: a={x[0]:.6f} T={x[1]:.6f} vstar={x[2]:.6f} v={x[3]:.6f} "
+        f"(raw {ops.a.raw} {ops.T.raw} {ops.vstar.raw} {ops.v.raw}; "
+        f"ideal {gipps_reference(*x):.9f})",
+        f"first differing stage: {_first_difference(words, oracle_words)}",
+        f"scalar re-run: {scalar or 'gipps_step and pipeline_oracle agree'}",
+    ]
+
+
 def run_sweep(
-    cases: Iterable[GippsOperands],
+    blocks: Iterable[Block],
     row_sink: Callable[[str], None] | None = None,
 ) -> SweepSummary:
-    """Evaluate each case three ways and fold the results into a summary.
+    """Evaluate each block three ways and fold the results into a summary.
 
-    Every case runs through the pipeline, the independent integer
-    oracle (bit-equality check on va and cycles), and the ideal update.
-    ``row_sink``, when provided, receives the header line and then one
-    newline-terminated CSV row per case; a file object's ``write``
-    works directly.
+    Every case runs through the array datapath, the independent integer
+    oracle's array form (bit-equality check on va and cycles), and the
+    ideal update.  ``row_sink``, when provided, receives the header line
+    and then one newline-terminated CSV row per case, in block order; a
+    file object's ``write`` works directly.  The bytes and the summary
+    are those of evaluating one case at a time: the same words, the same
+    IEEE operations, and the mean of the errors summed in case order.
     """
     summary = SweepSummary()
     hist: Counter[int] = Counter()
     err_total = 0.0
     if row_sink is not None:
         row_sink(CSV_HEADER + "\n")
-    for ops in cases:
-        res = gipps_step(ops)
-        ref = pipeline_oracle(ops)
-        if res.va.raw != ref.va.raw or res.cycles != ref.cycles:
-            summary.mismatches += 1
-            if summary.first_mismatch is None:
-                summary.first_mismatch = ops
-        ideal = gipps_reference(
-            decode(ops.a), decode(ops.T), decode(ops.vstar), decode(ops.v)
-        )
-        err = abs(decode(res.va) - ideal)
-        err_total += err
-        if err > summary.max_abs_err:
-            summary.max_abs_err = err
-        it = res.sqrt_trace.iterations
-        if it > summary.max_sqrt_iterations:
-            summary.max_sqrt_iterations = it
-        hist[res.cycles] += 1
-        summary.cases += 1
+        text = [f"{raw / SCALE:.6f}" for raw in range(RAW_MAX + 1)]
+    for a, T, vstar, v in blocks:
+        res = gipps_block(a, T, vstar, v)
+        ref = block_oracle(a, T, vstar, v)
+        bad = (res.va != ref.va) | (res.cycles != ref.cycles)
+        if bad.any():
+            summary.mismatches += int(bad.sum())
+            if not summary.mismatch_report:
+                i = int(bad.argmax())
+                summary.mismatch_report = _mismatch_report(
+                    GippsOperands(a, T, vstar, Fx(int(v[i]))),
+                    res.case_words(i), ref.case_words(i))
+        ideal = gipps_reference_block(decode(a), decode(T), decode(vstar), v / SCALE)
+        errs = np.abs(res.va / SCALE - ideal).tolist()
+        for err in errs:        # one at a time: sum() and np.sum reorder the adds
+            err_total += err
+        summary.max_abs_err = max(summary.max_abs_err, max(errs, default=0.0))
+        for c, n in zip(*np.unique(res.cycles, return_counts=True)):
+            hist[int(c)] += int(n)
+        summary.saturated_cases += int(res.saturated.sum())
+        summary.cases += len(errs)
         if row_sink is not None:
-            row_sink(
-                f"{decode(ops.a):.6f},{decode(ops.T):.6f},"
-                f"{decode(ops.vstar):.6f},{decode(ops.v):.6f},"
-                f"{decode(res.va):.6f},{ideal:.9f},{err:.9f}\n"
-            )
+            prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},"
+            for vr, var, x, err in zip(v.tolist(), res.va.tolist(), ideal.tolist(), errs):
+                row_sink(f"{prefix}{text[vr]},{text[var]},{x:.9f},{err:.9f}\n")
     summary.cycle_histogram = dict(hist)
+    summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0
     return summary

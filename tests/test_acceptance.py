@@ -16,7 +16,7 @@ from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, encode, sqrt
 from gippsim.oracle import floor_isqrt
 from gippsim.pearray import PeArrayConfig, dispatch_batch
 from gippsim.sim import SimConfig, format_trace, init_fleet, run_sim
-from gippsim.sweep import grid_cases, run_sweep
+from gippsim.sweep import grid_blocks, grid_cases, run_sweep
 
 GRID_CASES = 108_348
 MAX_ABS_ERR_LIMIT = 0.4036     # measured 0.366947 + 10%
@@ -31,7 +31,7 @@ def report(capsys, num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep_summary():
-    return run_sweep(grid_cases())
+    return run_sweep(grid_blocks())
 
 
 def test_criterion_1_quantization_budget(capsys):

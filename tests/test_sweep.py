@@ -1,0 +1,239 @@
+"""The block sweep against the scalar datapath, oracle and ideal.
+
+``run_sweep`` evaluates one (a, T, V*) block of velocities at a time on
+int64 arrays.  These tests hold every block-level piece to its scalar
+counterpart case by case, and the sweep's CSV bytes and summary to a
+copy of the one-case-at-a-time loop it replaced.
+"""
+
+import dataclasses
+import math
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from gippsim import fxp, sweep
+from gippsim.cli import main
+from gippsim.fxp import RAW_MAX, Fx, decode
+from gippsim.gipps import (
+    GippsOperands,
+    gipps_block,
+    gipps_reference,
+    gipps_reference_block,
+    gipps_step,
+)
+from gippsim.oracle import block_oracle, pipeline_oracle
+from gippsim.sweep import CSV_HEADER, grid_blocks, grid_cases, run_sweep
+
+STAGES = ("q", "f", "r", "s", "p1", "p2", "p3", "p4")
+
+
+def scalar_saturated(ops):
+    """Whether any fxp op flagged a clamp while ``gipps_step`` ran ``ops``."""
+    flags = []
+
+    def recording(op):
+        def wrapped(*args):
+            out = op(*args)
+            flags.append(out[1])
+            return out
+        return wrapped
+
+    ops_by_name = {name: recording(getattr(fxp, name)) for name in ("div", "sub", "add", "mul")}
+    with mock.patch.multiple(fxp, **ops_by_name):
+        gipps_step(ops)
+    return any(flags)
+
+
+def per_case_sweep(cases):
+    """The sweep as it ran before blocks: one case at a time."""
+    rows = [CSV_HEADER + "\n"]
+    n = mismatches = max_it = 0
+    err_total = max_err = 0.0
+    hist = Counter()
+    for ops in cases:
+        res = gipps_step(ops)
+        ref = pipeline_oracle(ops)
+        if res.va.raw != ref.va.raw or res.cycles != ref.cycles:
+            mismatches += 1
+        ideal = gipps_reference(decode(ops.a), decode(ops.T), decode(ops.vstar), decode(ops.v))
+        err = abs(decode(res.va) - ideal)
+        err_total += err
+        if err > max_err:
+            max_err = err
+        max_it = max(max_it, res.sqrt_trace.iterations)
+        hist[res.cycles] += 1
+        n += 1
+        rows.append(
+            f"{decode(ops.a):.6f},{decode(ops.T):.6f},"
+            f"{decode(ops.vstar):.6f},{decode(ops.v):.6f},"
+            f"{decode(res.va):.6f},{ideal:.9f},{err:.9f}\n"
+        )
+    lines = [
+        f"cases: {n}",
+        f"oracle_mismatches: {mismatches}",
+        f"max_abs_err: {max_err:.9f}",
+        f"mean_abs_err: {err_total / n if n else 0.0:.9f}",
+        f"max_sqrt_iterations: {max_it}",
+        "cycle_histogram: " + " ".join(f"{c}:{k}" for c, k in sorted(hist.items())),
+    ]
+    return "".join(rows), lines
+
+
+@st.composite
+def blocks(draw):
+    """A legal block: any a, T >= 1, V* >= 1, velocities in 0..V*."""
+    a = draw(st.integers(0, RAW_MAX))
+    t = draw(st.integers(1, RAW_MAX))
+    vstar = draw(st.integers(1, RAW_MAX))
+    v = draw(st.lists(st.integers(0, vstar), min_size=1, max_size=40))
+    return Fx(a), Fx(t), Fx(vstar), np.array(v, dtype=np.int64)
+
+
+@given(blocks())
+@example((Fx(12800), Fx(64), Fx(320), np.arange(321, dtype=np.int64)))   # p1 clamps
+@example((Fx(16383), Fx(16383), Fx(16383), np.array([0, 8000, 16383])))  # va clamps
+def test_block_datapath_equals_gipps_step(block):
+    a, t, vstar, v = block
+    res = gipps_block(a, t, vstar, v)
+    for i, raw in enumerate(v.tolist()):
+        ops = GippsOperands(a, t, vstar, Fx(raw))
+        one = gipps_step(ops)
+        want = [(name, fx.raw) for name, fx in one.stages()]
+        want += [("va", one.va.raw), ("cycles", one.cycles)]
+        assert res.case_words(i) == want
+        assert bool(res.saturated[i]) == scalar_saturated(ops)
+
+
+@given(blocks())
+@example((Fx(12800), Fx(64), Fx(320), np.arange(321, dtype=np.int64)))
+def test_block_oracle_equals_pipeline_oracle(block):
+    a, t, vstar, v = block
+    ref = block_oracle(a, t, vstar, v)
+    res = gipps_block(a, t, vstar, v)
+    assert np.array_equal(ref.saturated, res.saturated)
+    for i, raw in enumerate(v.tolist()):
+        one = pipeline_oracle(GippsOperands(a, t, vstar, Fx(raw)))
+        want = [(name, fx.raw) for name, fx in one.stages()]
+        want += [("va", one.va.raw), ("cycles", one.cycles)]
+        assert ref.case_words(i) == want
+
+
+def test_block_entries_check_operands():
+    v = np.arange(5, dtype=np.int64)
+    for entry in (gipps_block, block_oracle):
+        with pytest.raises(ValueError, match="exceeds"):
+            entry(Fx(64), Fx(64), Fx(3), v)
+        with pytest.raises(ValueError, match="reaction time"):
+            entry(Fx(64), Fx(0), Fx(64), v)
+        with pytest.raises(ValueError, match="desired speed"):
+            entry(Fx(64), Fx(64), Fx(0), v[:1])
+
+
+axis_words = st.lists(st.integers(0, RAW_MAX), min_size=1, max_size=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    accels=axis_words,
+    times=st.lists(st.integers(1, RAW_MAX), min_size=1, max_size=2),
+    vstars=st.lists(st.integers(1, 200), min_size=1, max_size=2),
+    v_equals_vstar=st.booleans(),
+)
+@example(accels=[12800], times=[64], vstars=[320], v_equals_vstar=False)     # saturating
+@example(accels=[64, 320], times=[32, 64], vstars=[320, 1280], v_equals_vstar=True)
+def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
+    axes = dict(vstars=[w / 64 for w in vstars], accels=[w / 64 for w in accels],
+                times=[w / 64 for w in times], v_equals_vstar=v_equals_vstar)
+    rows = []
+    summary = run_sweep(grid_blocks(**axes), row_sink=rows.append)
+    want_csv, want_lines = per_case_sweep(grid_cases(**axes))
+    assert "".join(rows) == want_csv
+    assert summary.lines()[:6] == want_lines
+    assert len(rows) == summary.cases + 1          # one sink call per row
+
+
+def test_grid_cases_flattens_grid_blocks():
+    cases = list(grid_cases(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0)))
+    flat = [GippsOperands(a, t, vs, Fx(raw))
+            for a, t, vs, v in grid_blocks(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0))
+            for raw in v.tolist()]
+    assert cases == flat
+    assert len(cases) == 2 * (33 + 65)
+
+
+@pytest.fixture(scope="module")
+def default_grid():
+    return run_sweep(grid_blocks())
+
+
+def test_saturated_cases_counts_clamps(capsys, tmp_path, default_grid):
+    argv = ["sweep", "--out", str(tmp_path / "s.csv"),
+            "--vstars", "5", "--accels", "200", "--times", "1"]
+    assert main(argv) == 0                       # saturation is reported, not failed
+    out = capsys.readouterr().out
+    recount = sum(scalar_saturated(ops)
+                  for ops in grid_cases(vstars=(5.0,), accels=(200.0,), times=(1.0,)))
+    assert recount == 321
+    assert f"saturated_cases: {recount}" in out.splitlines()
+    assert default_grid.lines()[-1] == "saturated_cases: 0"
+
+
+def test_first_mismatch_names_case_and_stage(capsys, monkeypatch, tmp_path):
+    real = sweep.block_oracle
+
+    def perturbed(a, t, vstar, v):
+        ref = real(a, t, vstar, v)
+        p4, va = ref.p4.copy(), ref.va.copy()
+        p4[7] += 1
+        va[7] += 1
+        return dataclasses.replace(ref, p4=p4, va=va)
+
+    monkeypatch.setattr(sweep, "block_oracle", perturbed)
+    argv = ["sweep", "--out", str(tmp_path / "s.csv"),
+            "--vstars", "5", "--accels", "1", "--times", "0.5"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "oracle_mismatches: 1" in captured.out.splitlines()
+    err = captured.err.splitlines()
+    assert err[0].startswith("first mismatch: a=1.000000 T=0.500000 vstar=5.000000 "
+                             "v=0.109375 (raw 64 32 320 7; ideal ")
+    p4 = gipps_step(GippsOperands(Fx(64), Fx(32), Fx(320), Fx(7))).p4.raw
+    assert err[1] == f"first differing stage: p4 datapath raw {p4}, oracle raw {p4 + 1}"
+    assert err[2] == "scalar re-run: gipps_step and pipeline_oracle agree"
+
+
+def test_ideal_block_equals_gipps_reference_on_default_grid():
+    for a, t, vstar, v in grid_blocks():
+        xs = (decode(a), decode(t), decode(vstar))
+        got = gipps_reference_block(*xs, v / 64).tolist()
+        assert got == [gipps_reference(*xs, raw / 64) for raw in v.tolist()]
+
+
+def test_ideal_block_equals_gipps_reference_on_random_floats():
+    rng = np.random.Generator(np.random.PCG64(7))
+    for _ in range(200):
+        a, t = rng.uniform(0.0, 300.0), rng.uniform(1e-6, 300.0)
+        vstar = rng.uniform(1e-6, 300.0)
+        v = rng.uniform(0.0, vstar, 50)
+        got = gipps_reference_block(float(a), float(t), float(vstar), v).tolist()
+        assert got == [gipps_reference(float(a), float(t), float(vstar), x) for x in v.tolist()]
+
+
+def test_mean_abs_err_sums_errors_in_case_order(default_grid):
+    errs = []
+    for a, t, vstar, v in grid_blocks():
+        va = gipps_block(a, t, vstar, v).va.tolist()
+        errs += [abs(x / 64 - gipps_reference(decode(a), decode(t), decode(vstar), raw / 64))
+                 for raw, x in zip(v.tolist(), va)]
+    total = 0.0
+    for err in errs:
+        total += err
+    assert default_grid.mean_abs_err == total / len(errs) == 0.017706800857223405
+    assert default_grid.max_abs_err == max(errs) == 0.3669468295667908
+    # the order is visible: a compensated or pairwise sum gives other bits
+    assert math.fsum(errs) != total
+    assert float(np.sum(np.array(errs))) != total
