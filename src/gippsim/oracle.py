@@ -1,9 +1,10 @@
 """Independent re-evaluation of the fixed-point velocity update.
 
 This module is written against the datapath contract, not the datapath
-code: plain Python integers end to end, a float-seeded floor square
-root with explicit fix-up instead of the Babylonian unit, and its own
-copy of the pass-counting rules.  Tests hold ``pipeline_oracle`` and
+code: integer arithmetic end to end, clamps written as min via
+|x - 16383| rather than masks, a float-seeded floor square root with
+explicit fix-up instead of the Babylonian unit, and its own copy of
+the pass-counting rules.  Tests hold ``pipeline_oracle`` and
 ``gipps.gipps_step`` bit for bit against each other, so a defect in
 either one surfaces as a mismatch instead of hiding in shared code.
 

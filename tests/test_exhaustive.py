@@ -59,11 +59,13 @@ def test_sqrt_unit_on_every_radicand_the_update_makes():
 def test_tail_on_every_p2_and_q():
     p2 = np.arange(RAW_MAX + 1, dtype=np.int64)[:, None]
     q = np.arange(65, dtype=np.int64)[None, :]
-    f, _ = fxp.sub_raw(fxp.ONE.raw, q)
-    r, _ = fxp.add_raw(2, q)
+    f, c_f = fxp.sub_raw(fxp.ONE.raw, q)
+    r, c_r = fxp.add_raw(2, q)
     s = np.array([fxp.sqrt_raw(x)[0] for x in r.ravel().tolist()], dtype=np.int64)
-    p3, _ = fxp.mul_raw(p2, f)
-    p4, _ = fxp.mul_raw(p3, s[None, :])
+    p3, c_3 = fxp.mul_raw(p2, f)
+    p4, c_4 = fxp.mul_raw(p3, s[None, :])
     s_oracle = np.array([oracle._floor_root(x) for x in range(2, 67)], dtype=np.int64)
     want, _ = oracle._round_mul(oracle._round_mul(p2, 64 - q)[0], s_oracle[None, :])
     assert np.array_equal(p4, want)
+    # so on legal operands only p1, p2 and the final add can clamp
+    assert not (c_f.any() or c_r.any() or c_3.any() or c_4.any())
