@@ -3,8 +3,9 @@
 Every quantity the accelerator touches is an unsigned 14-bit word
 worth raw/64.  Encoding rounds to nearest (ties up), multiplication
 rounds the same way after a full-width product, division truncates,
-and add/sub saturate with a visible flag.  Run this to see each rule
-on concrete words.
+and add/sub saturate with a visible flag.  The ops take and return raw
+words; ``Fx`` and encode/decode sit at the edges.  Run this to see
+each rule on concrete words.
 """
 
 from gippsim.fxp import (
@@ -42,18 +43,18 @@ print()
 print("multiply keeps the full 28-bit product, then rounds once:")
 a, b = encode(2.5), encode(0.51)
 wide = a.raw * b.raw                  # Q16.12: value = raw / 4096
-rounded, _ = mul(a, b)
+rounded, _ = mul(a.raw, b.raw)
 print(f"  {decode(a)} * {decode(b)}: wide raw {wide} = {wide / 4096}")
-print(f"  rounded back to Q8.6: raw {rounded.raw} = {decode(rounded)}")
+print(f"  rounded back to Q8.6: raw {rounded} = {decode(Fx(rounded))}")
 print()
 
 print("divide truncates toward zero:")
-q, _ = div(ONE, encode(3.0))
-print(f"  1/3 -> raw {q.raw} = {decode(q)} (floor of 64/3 raw steps)")
+q, _ = div(ONE.raw, encode(3.0).raw)
+print(f"  1/3 -> raw {q} = {decode(Fx(q))} (floor of 64/3 raw steps)")
 print()
 
 print("add/sub saturate and report it:")
-s, sat = add(Fx(RAW_MAX), ONE)
-print(f"  max + 1.0 -> raw {s.raw}, saturated={sat}")
-s, sat = sub(Fx(10), Fx(200))
-print(f"  0.15625 - 3.125 -> raw {s.raw}, saturated={sat}")
+s, sat = add(RAW_MAX, ONE.raw)
+print(f"  max + 1.0 -> raw {s}, saturated={sat}")
+s, sat = sub(10, 200)
+print(f"  0.15625 - 3.125 -> raw {s}, saturated={sat}")

@@ -14,26 +14,26 @@ from gippsim.fxp import RAW_MAX, Fx, decode, sqrt
 
 print("traced examples:")
 for value in (0.03125, 1.0, 2.0, 4.0, 200.0, VALUE := RAW_MAX / 64):
-    root, tr = sqrt(Fx(round(value * 64)))
+    root, tr = sqrt(round(value * 64))
     print(f"  sqrt({value:10.6f}): seed {tr.seed_x0:4d}, "
           f"iterates {list(tr.iterates)}, "
-          f"root raw {root.raw:4d} = {decode(root):.6f}")
+          f"root raw {root:4d} = {decode(Fx(root)):.6f}")
 print()
 
 print("pass counts over the full domain:")
-hist = Counter(sqrt(Fx(raw))[1].iterations for raw in range(RAW_MAX + 1))
+hist = Counter(sqrt(raw)[1].iterations for raw in range(RAW_MAX + 1))
 for n in sorted(hist):
     print(f"  {n} passes: {hist[n]:5d} inputs")
 print()
 
 print("velocity-update radicands (raw 2..66) all finish in two:")
-worst = max(sqrt(Fx(raw))[1].iterations for raw in range(2, 67))
+worst = max(sqrt(raw)[1].iterations for raw in range(2, 67))
 print(f"  max passes on raws 2..66: {worst}")
 
 print()
 print("every root is the exact floor square root:")
 raw = 8191
-root, _ = sqrt(Fx(raw))
+root, _ = sqrt(raw)
 t = raw << 6
-print(f"  raw {raw}: root {root.raw}, {root.raw}^2 = {root.raw**2} <= {t} < "
-      f"{root.raw + 1}^2 = {(root.raw + 1)**2}")
+print(f"  raw {raw}: root {root}, {root}^2 = {root**2} <= {t} < "
+      f"{root + 1}^2 = {(root + 1)**2}")

@@ -79,13 +79,13 @@ def cmd_step(args: argparse.Namespace) -> int:
 
 
 def cmd_sqrt(args: argparse.Namespace) -> int:
-    root, trace = sqrt(args.s)
+    root, trace = sqrt(args.s.raw)
     print(f"radicand: raw={trace.radicand}  {decode(Fx(trace.radicand)):.6f}")
     print(f"seed: {trace.seed_x0}")
     for n, x in enumerate(trace.iterates, start=1):
         print(f"pass {n}: {x}")
     print(f"iterations: {trace.iterations}")
-    print(f"result: raw={root.raw}  {decode(root):.6f}")
+    print(f"result: raw={root}  {decode(Fx(root)):.6f}")
     return 0
 
 

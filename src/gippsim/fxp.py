@@ -14,10 +14,12 @@ Rounding matches the hardware unit for unit:
 * ``sqrt`` is a table-seeded Babylonian unit; its result is the exact
   floor square root and it reports a per-pass trace.
 
-The ``Fx`` ops wrap raw-level forms (``add_raw``, ``sub_raw``,
-``mul_raw``, ``div_raw``, ``sqrt_raw``); the first four run unchanged on
-Python ints and on int64 numpy arrays, which is how the sweep evaluates
-a whole block of velocities at once.
+The ops take raw words, not ``Fx``, and return (word, flag).  ``add``,
+``sub``, ``mul`` and ``div`` are branch-free (the clamp is mask
+arithmetic), so one copy of each rule runs on Python ints and on int64
+numpy arrays alike: the scalar instruction and the sweep's blocks.
+``sqrt`` takes one word.  ``Fx`` is the word type at the edges of the
+API: ``encode``/``decode`` and the instruction's operands and results.
 
 All operations are pure: same operands, same words, no hidden state.
 """
@@ -75,73 +77,42 @@ def decode(v: Fx) -> float:
     return v.raw / SCALE
 
 
-# Raw-level ops.  Each takes raw words, as Python ints or as int64 numpy
-# arrays alike, and returns (word, clamped).  They are branch-free: the
-# clamp is mask arithmetic, so one copy of each rounding rule serves the
-# scalar ``Fx`` ops below and the array datapath.
-
-def add_raw(x, y):
-    """Saturating add of raw words; clamped where the sum passed 16383."""
+def add(x, y):
+    """Saturating add.  Flag is True where the sum clamped at 16383."""
     t = x + y
     clamped = t > RAW_MAX
     return t - (t - RAW_MAX) * clamped, clamped
 
 
-def sub_raw(x, y):
-    """Saturating subtract of raw words; clamped where it went below 0."""
+def sub(x, y):
+    """Saturating subtract.  Flag is True where the result clamped at 0."""
     t = x - y
     clamped = t < 0
     return t - t * clamped, clamped
 
 
-def mul_raw(x, y):
-    """Raw product rounded once to Q8.6 (ties up), saturated at 16383."""
+def mul(x, y):
+    """Multiply, round to nearest (ties up), saturate at 16383.
+
+    The full 28-bit product is rounded once, back to Q8.6.
+    """
     t = (x * y + _HALF) >> FRAC_BITS
     clamped = t > RAW_MAX
     return t - (t - RAW_MAX) * clamped, clamped
 
 
-def div_raw(x, y):
-    """Truncating raw quotient floor(x * 64 / y), saturated at 16383.
-
-    ``y`` must be nonzero; ``div`` raises on a zero divisor word.
-    """
-    t = (x << FRAC_BITS) // y
-    clamped = t > RAW_MAX
-    return t - (t - RAW_MAX) * clamped, clamped
-
-
-def add(a: Fx, b: Fx) -> tuple[Fx, bool]:
-    """Saturating add.  Flag is True when the sum clamped at 16383."""
-    r, clamped = add_raw(a.raw, b.raw)
-    return Fx(r), clamped
-
-
-def sub(a: Fx, b: Fx) -> tuple[Fx, bool]:
-    """Saturating subtract.  Flag is True when the result clamped at 0."""
-    r, clamped = sub_raw(a.raw, b.raw)
-    return Fx(r), clamped
-
-
-def mul(a: Fx, b: Fx) -> tuple[Fx, bool]:
-    """Multiply, round to nearest (ties up), saturate at 16383.
-
-    The full 28-bit product is rounded once, back to Q8.6.
-    """
-    r, clamped = mul_raw(a.raw, b.raw)
-    return Fx(r), clamped
-
-
-def div(a: Fx, b: Fx) -> tuple[Fx, bool]:
+def div(x, y):
     """Divide with truncation, saturate at 16383.
 
     The 20-bit shifted dividend goes through the divider whole, so the
-    quotient is floor((a.raw * 64) / b.raw) exactly.
+    quotient is floor((x * 64) / y) exactly.  ``y`` is one divisor word
+    shared by every ``x``; raw 0 raises.
     """
-    if b.raw == 0:
+    if y == 0:
         raise DivideByZeroError("divide by raw 0")
-    r, clamped = div_raw(a.raw, b.raw)
-    return Fx(r), clamped
+    t = (x << FRAC_BITS) // y
+    clamped = t > RAW_MAX
+    return t - (t - RAW_MAX) * clamped, clamped
 
 
 # Seed ROM for the square root unit.  Index is the top 4 significant
@@ -186,14 +157,8 @@ def _sqrt_seed(t: int) -> int:
     return max(1, (SQRT_SEED_LUT[m] * (1 << (k - 1)) + 128) >> 8)
 
 
-def sqrt(s: Fx) -> tuple[Fx, SqrtTrace]:
-    """Exact floor square root of a Q8.6 word, with trace."""
-    root, trace = sqrt_raw(s.raw)
-    return Fx(root), trace
-
-
-def sqrt_raw(raw: int) -> tuple[int, SqrtTrace]:
-    """The square root unit on one raw word: root raw and pass trace.
+def sqrt(raw: int) -> tuple[int, SqrtTrace]:
+    """Exact floor square root of one raw word: root raw and pass trace.
 
     The radicand is widened to t = raw * 64 so the root stays in Q8.6:
     the result raw is floor(sqrt(t)).  Babylonian refinement runs from

@@ -9,7 +9,8 @@ the seeded square root, then a four-multiply chain and the final add.
 ``gipps_reference`` is the ideal real-arithmetic counterpart used for
 accuracy sweeps.  ``gipps_block`` and ``gipps_reference_block`` are the
 same two computations over a block of velocities that share a, T and
-V*, on numpy arrays, for the sweep.
+V*, on numpy arrays, for the sweep; ``gipps_block`` runs ``gipps_step``'s
+stage body, which calls the ``fxp`` ops through the module.
 
 Latency model: 1 cycle for divide/subtract/radicand add, the square
 root's Newton passes (2 in the instruction's operating domain), and
@@ -46,6 +47,9 @@ class GippsOperands:
     v: Fx
 
     def validate(self) -> None:
+        for name, word in vars(self).items():
+            if not 0 <= word.raw <= fxp.RAW_MAX:
+                raise InvalidOperandsError(f"{name} raw {word.raw} outside 0..{fxp.RAW_MAX}")
         if self.vstar.raw == 0:
             raise InvalidOperandsError("desired speed must be positive")
         if self.T.raw == 0:
@@ -80,19 +84,29 @@ class GippsResult:
         ]
 
 
+def _stages(a, T, V, v, unit):
+    """The datapath in pipeline order on raw words, ``v`` an int or an
+    int64 array: va and the stage words, the second output of ``unit``
+    (the sqrt unit, radicand -> (root, detail)), and where a stage clamped."""
+    q, c_q = fxp.div(v, V)                 # q <= 1.0 since v <= V*
+    f, c_f = fxp.sub(fxp.ONE.raw, q)
+    r, c_r = fxp.add(K2.raw, q)            # radicand raw in 2..66
+    s, detail = unit(r)
+    p1, c_1 = fxp.mul(K1.raw, a)
+    p2, c_2 = fxp.mul(p1, T)
+    p3, c_3 = fxp.mul(p2, f)
+    p4, c_4 = fxp.mul(p3, s)
+    va, c_va = fxp.add(v, p4)              # no clamp to V* here
+    saturated = c_q | c_f | c_r | c_1 | c_2 | c_3 | c_4 | c_va
+    return (va, q, f, r, s, p1, p2, p3, p4), detail, saturated
+
+
 def gipps_step(ops: GippsOperands) -> GippsResult:
     """Run one velocity update through the fixed-point pipeline."""
     ops.validate()
-    q, _ = fxp.div(ops.v, ops.vstar)       # q <= 1.0 since v <= vstar
-    f, _ = fxp.sub(fxp.ONE, q)
-    r, _ = fxp.add(K2, q)                  # radicand raw in 2..66
-    s, strace = fxp.sqrt(r)
-    p1, _ = fxp.mul(K1, ops.a)
-    p2, _ = fxp.mul(p1, ops.T)
-    p3, _ = fxp.mul(p2, f)
-    p4, _ = fxp.mul(p3, s)
-    va, _ = fxp.add(ops.v, p4)             # no clamp to vstar here
-    return GippsResult(va, 2 + strace.iterations, q, f, r, s, p1, p2, p3, p4, strace)
+    words, strace, _ = _stages(ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw, fxp.sqrt)
+    va, *stage = map(Fx, words)
+    return GippsResult(va, 2 + strace.iterations, *stage, strace)
 
 
 @dataclass(frozen=True)
@@ -121,30 +135,24 @@ class GippsBlock:
                 for name in names]
 
 
-def gipps_block(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
-    """Run a block of updates through the datapath at once.
-
-    ``v`` is an int64 array of raw velocities; a, T and V* are shared.
-    The stages are ``gipps_step``'s, in its order, on the same rounding
-    rules (the raw-level ops), so case i equals ``gipps_step`` on
-    (a, T, V*, v[i]).  The sqrt unit depends on the radicand word alone
-    and runs once per distinct radicand in the block.
-    """
-    GippsOperands(a, T, vstar, Fx(int(v.max(initial=0)))).validate()
-    q, c_q = fxp.div_raw(v, vstar.raw)
-    f, c_f = fxp.sub_raw(fxp.ONE.raw, q)
-    r, c_r = fxp.add_raw(K2.raw, q)
+def _sqrt_per_radicand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sqrt unit once per distinct radicand word: roots and cycles."""
     radicands, at = np.unique(r, return_inverse=True)
-    units = [fxp.sqrt_raw(x) for x in radicands.tolist()]
+    units = [fxp.sqrt(x) for x in radicands.tolist()]
     s = np.array([root for root, _ in units], dtype=np.int64)[at]
     cycles = np.array([2 + tr.iterations for _, tr in units], dtype=np.int64)[at]
-    p1, c_1 = fxp.mul_raw(K1.raw, a.raw)
-    p2, c_2 = fxp.mul_raw(p1, T.raw)
-    p3, c_3 = fxp.mul_raw(p2, f)
-    p4, c_4 = fxp.mul_raw(p3, s)
-    va, c_va = fxp.add_raw(v, p4)
-    saturated = c_q | c_f | c_r | c_1 | c_2 | c_3 | c_4 | c_va
-    return GippsBlock(va, cycles, q, f, r, s, p1, p2, p3, p4, saturated)
+    return s, cycles
+
+
+def gipps_block(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
+    """``gipps_step``'s stage body on an int64 array ``v`` of raw
+    velocities that share a, T and V*, so case i equals ``gipps_step`` on
+    (a, T, V*, v[i]).  The sqrt unit depends on the radicand word alone
+    and runs once per distinct radicand in the block."""
+    for end in (v.min(initial=0), v.max(initial=0)):      # an empty block checks v = 0
+        GippsOperands(a, T, vstar, Fx(int(end))).validate()
+    (va, *stage), cycles, saturated = _stages(a.raw, T.raw, vstar.raw, v, _sqrt_per_radicand)
+    return GippsBlock(va, cycles, *stage, saturated)
 
 
 def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:

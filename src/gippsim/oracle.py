@@ -4,7 +4,8 @@ This module is written against the datapath contract, not the datapath
 code: integer arithmetic end to end, clamps written as min via
 |x - 16383| rather than masks, a float-seeded floor square root with
 explicit fix-up instead of the Babylonian unit, and its own copy of
-the pass-counting rules.  Tests hold ``pipeline_oracle`` and
+the pass-counting rules; it shares only ``GippsOperands.validate``, the
+legal-operand check.  Tests hold ``pipeline_oracle`` and
 ``gipps.gipps_step`` bit for bit against each other, so a defect in
 either one surfaces as a mismatch instead of hiding in shared code.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fxp import Fx, SqrtTrace
-from .gipps import GippsBlock, GippsOperands, GippsResult, InvalidOperandsError
+from .gipps import GippsBlock, GippsOperands, GippsResult
 
 _RAW_MAX = 16383
 
@@ -74,15 +75,6 @@ def _floor_root(raw: int) -> int:
     return floor_isqrt(raw * 64)
 
 
-def _check(T: int, V: int, v_top: int) -> None:
-    if V == 0:
-        raise InvalidOperandsError("desired speed must be positive")
-    if T == 0:
-        raise InvalidOperandsError("reaction time must be positive")
-    if v_top > V:
-        raise InvalidOperandsError(f"velocity raw {v_top} exceeds desired speed raw {V}")
-
-
 def _clamp(x):
     """min(x, 16383) and whether x exceeded it; ints or arrays."""
     return (x + _RAW_MAX - abs(x - _RAW_MAX)) // 2, x > _RAW_MAX
@@ -122,8 +114,8 @@ def _per_radicand(fn, r: np.ndarray) -> np.ndarray:
 
 def pipeline_oracle(ops: GippsOperands) -> GippsResult:
     """Evaluate one update with arbitrary-precision integers."""
+    ops.validate()
     a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
-    _check(T, V, v)
     q, f, r, s, p1, p2, p3, p4, va, _ = _stages(a, T, V, v, _floor_root)
     strace = _sqrt_unit_trace(r)
     return GippsResult(
@@ -136,7 +128,8 @@ def block_oracle(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
     """Evaluate a block of updates sharing a, T and V*; ``v`` is an
     int64 array of raw velocities.  The root and the pass count depend
     on the radicand word alone, so each distinct one is derived once."""
-    _check(T.raw, vstar.raw, int(v.max(initial=0)))
+    for end in (v.min(initial=0), v.max(initial=0)):      # an empty block checks v = 0
+        GippsOperands(a, T, vstar, Fx(int(end))).validate()
     q, f, r, s, p1, p2, p3, p4, va, over = _stages(
         a.raw, T.raw, vstar.raw, v, lambda r: _per_radicand(_floor_root, r))
     cycles = 2 + _per_radicand(_sqrt_passes, r)

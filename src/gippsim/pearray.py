@@ -6,7 +6,7 @@ ceil(N / P) * 4 cycles.  PE count and clock only change the timing
 model, never the arithmetic: each operand set is validated and computed
 once, in batch order, by ``gipps_step``, so results are bit-identical
 whatever the host does for parallelism.  The sim dispatches only what
-its per-run table lacks, but charges each step this formula's cycles.
+its per-run table lacks, but charges each step ``batch_report``'s cycles.
 """
 
 from __future__ import annotations
@@ -64,9 +64,12 @@ def dispatch_batch(
             results.append(gipps_step(ops))
         except InvalidOperandsError as exc:
             raise InvalidOperandsError(f"operand {i}: {exc}") from None
-    # every valid op has the same latency, so the busiest PE, the one
-    # that gets ceil(N/P) ops round-robin, sets the batch latency
     per_op = max((res.cycles for res in results), default=0)
-    cycles = -(-len(results) // cfg.num_pes) * per_op
-    time_ns = cycles * 1e9 / cfg.clock_hz
-    return results, BatchReport(len(results), cycles, time_ns, per_op)
+    return results, batch_report(len(results), per_op, cfg)
+
+
+def batch_report(ops: int, per_op: int, cfg: PeArrayConfig) -> BatchReport:
+    """Modeled latency of ``ops`` updates of ``per_op`` cycles each: the
+    busiest PE, the one that gets ceil(N/P) ops round-robin, sets it."""
+    cycles = -(-ops // cfg.num_pes) * per_op
+    return BatchReport(ops, cycles, cycles * 1e9 / cfg.clock_hz, per_op)

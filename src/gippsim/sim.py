@@ -32,7 +32,7 @@ import numpy as np
 
 from .fxp import FRAC_BITS, SCALE, Fx, OutOfRangeError, decode, encode
 from .gipps import GippsOperands
-from .pearray import BatchReport, PeArrayConfig, dispatch_batch
+from .pearray import BatchReport, PeArrayConfig, batch_report, dispatch_batch
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
 
@@ -129,9 +129,7 @@ def step_sim(
     for i, (veh, (p4, _)) in enumerate(zip(fleet, entries)):
         vel[i] = min(vel[i] + p4, veh.desired_speed.raw)    # clamp host-side
         pos[i] = pos[i] + vel[i] / SCALE * dt
-    per_op = max(cycles for _, cycles in entries)
-    cycles = -(-len(fleet) // pe_cfg.num_pes) * per_op
-    return BatchReport(len(fleet), cycles, cycles * 1e9 / pe_cfg.clock_hz, per_op)
+    return batch_report(len(fleet), max(cycles for _, cycles in entries), pe_cfg)
 
 
 def run_sim(

@@ -47,15 +47,15 @@ def test_criterion_1_quantization_budget(capsys):
 def test_criterion_2_sqrt_exactness(capsys):
     mismatches = sum(
         1 for raw in range(RAW_MAX + 1)
-        if sqrt(Fx(raw))[0].raw != floor_isqrt(raw << 6)
+        if sqrt(raw)[0] != floor_isqrt(raw << 6)
     )
     report(capsys, 2, "sqrt exactness", mismatches == 0,
            f"{mismatches} mismatches vs floor-isqrt over all 16384 inputs")
 
 
 def test_criterion_3_sqrt_convergence(capsys):
-    domain_max = max(sqrt(Fx(raw))[1].iterations for raw in range(2, 67))
-    full_max = max(sqrt(Fx(raw))[1].iterations for raw in range(RAW_MAX + 1))
+    domain_max = max(sqrt(raw)[1].iterations for raw in range(2, 67))
+    full_max = max(sqrt(raw)[1].iterations for raw in range(RAW_MAX + 1))
     report(capsys, 3, "sqrt convergence", domain_max <= 2,
            f"max {domain_max} iterations on radicand raws 2..66 "
            f"(full 14-bit domain: {full_max})")

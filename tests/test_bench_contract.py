@@ -8,6 +8,7 @@ one-case-per-axis sweep, so a change that would leave the benchmark
 unable to read, verify or trace a run fails here first.
 """
 
+import importlib
 import json
 import math
 import sys
@@ -55,6 +56,14 @@ def test_float_baseline_is_plain_and_finite():
     json.dumps(fields)
 
 
+def test_every_tracer_binding_resolves_to_a_callable():
+    # the tracer skips a name that is gone, and one span's metrics can
+    # hide another's absence (any fxp op alone yields fxp.calls)
+    missing = [f"{module}.{attr}" for module, attr, _ in tracer.BINDINGS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
 @pytest.mark.parametrize("workload", ["sim", "sweep"])
 def test_traced_call_yields_every_layer_metric(tmp_path, workload):
     out = str(tmp_path / "out.csv")
@@ -76,3 +85,6 @@ def test_traced_call_yields_every_layer_metric(tmp_path, workload):
     assert sorted(wanted - metrics.keys()) == []
     json.dumps(metrics, allow_nan=False)
     assert all(type(x) in (int, float) for x in metrics.values())
+    if workload == "sweep":     # the block datapath runs the fxp ops and the sqrt unit
+        assert metrics["fxp.calls"] > 0
+        assert metrics["fxp.sqrt.passes_mean"] == 2.0

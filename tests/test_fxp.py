@@ -59,58 +59,58 @@ def test_decode_encode_roundtrip_exhaustive():
 
 
 def test_add_saturates():
-    s, sat = add(Fx(RAW_MAX), Fx(1))
-    assert s.raw == RAW_MAX and sat
-    s, sat = add(Fx(100), Fx(28))
-    assert s.raw == 128 and not sat
+    s, sat = add(RAW_MAX, 1)
+    assert s == RAW_MAX and sat
+    s, sat = add(100, 28)
+    assert s == 128 and not sat
 
 
 def test_sub_saturates_at_zero():
-    s, sat = sub(Fx(1), Fx(2))
-    assert s.raw == 0 and sat
-    s, sat = sub(Fx(64), Fx(1))
-    assert s.raw == 63 and not sat
+    s, sat = sub(1, 2)
+    assert s == 0 and sat
+    s, sat = sub(64, 1)
+    assert s == 63 and not sat
 
 
 def test_mul_rounds_to_nearest_ties_up():
     # 0.5 * 0.5 = 0.25 exact
-    assert mul(Fx(32), Fx(32))[0].raw == 16
+    assert mul(32, 32)[0] == 16
     # raw product 1*32 = 32/4096, exactly half an output ulp: rounds up
-    assert mul(Fx(1), Fx(32))[0].raw == 1
-    assert mul(Fx(1), Fx(31))[0].raw == 0
-    r, sat = mul(Fx(RAW_MAX), Fx(RAW_MAX))
-    assert r.raw == RAW_MAX and sat
+    assert mul(1, 32)[0] == 1
+    assert mul(1, 31)[0] == 0
+    r, sat = mul(RAW_MAX, RAW_MAX)
+    assert r == RAW_MAX and sat
 
 
 def test_div_truncates():
-    q, sat = div(Fx(1), Fx(3))                 # 1/3 -> floor(64/3)/64
-    assert q.raw == 21 and not sat
-    q, sat = div(Fx(64), Fx(64))
-    assert q.raw == 64
-    q, sat = div(Fx(RAW_MAX), Fx(1))
-    assert q.raw == RAW_MAX and sat            # 255.98/0.015625 overflows
+    q, sat = div(1, 3)                         # 1/3 -> floor(64/3)/64
+    assert q == 21 and not sat
+    q, sat = div(64, 64)
+    assert q == 64
+    q, sat = div(RAW_MAX, 1)
+    assert q == RAW_MAX and sat                # 255.98/0.015625 overflows
     with pytest.raises(DivideByZeroError):
-        div(ONE, ZERO)
+        div(ONE.raw, ZERO.raw)
 
 
 @given(raws, raws)
 def test_add_matches_integer_model(x, y):
-    s, sat = add(Fx(x), Fx(y))
-    assert s.raw == min(x + y, RAW_MAX)
+    s, sat = add(x, y)
+    assert s == min(x + y, RAW_MAX)
     assert sat == (x + y > RAW_MAX)
 
 
 @given(raws, raws)
 def test_mul_matches_integer_model(x, y):
-    r, sat = mul(Fx(x), Fx(y))
-    assert r.raw == min((x * y + 32) >> 6, RAW_MAX)
+    r, sat = mul(x, y)
+    assert r == min((x * y + 32) >> 6, RAW_MAX)
     assert sat == ((x * y + 32) >> 6 > RAW_MAX)
 
 
 @given(raws, st.integers(min_value=1, max_value=RAW_MAX))
 def test_div_matches_integer_model(x, y):
-    q, sat = div(Fx(x), Fx(y))
-    assert q.raw == min((x << 6) // y, RAW_MAX)
+    q, sat = div(x, y)
+    assert q == min((x << 6) // y, RAW_MAX)
 
 
 def test_sqrt_pinned_cases():
@@ -122,38 +122,38 @@ def test_sqrt_pinned_cases():
         (16383, 1023, 1007, (1024, 1023, 1023)),
     ]
     for raw, want_root, want_seed, want_iter in cases:
-        root, tr = sqrt(Fx(raw))
-        assert root.raw == want_root
+        root, tr = sqrt(raw)
+        assert root == want_root
         assert tr.seed_x0 == want_seed
         assert tr.iterates == want_iter
         assert tr.radicand == raw
 
 
 def test_sqrt_zero_shortcut():
-    root, tr = sqrt(ZERO)
-    assert root.raw == 0
+    root, tr = sqrt(ZERO.raw)
+    assert root == 0
     assert tr.iterations == 0
     assert tr.iterates == ()
 
 
 def test_sqrt_exhaustive_matches_floor_isqrt():
     for raw in range(RAW_MAX + 1):
-        root, _ = sqrt(Fx(raw))
-        assert root.raw == floor_isqrt(raw << 6), raw
+        root, _ = sqrt(raw)
+        assert root == floor_isqrt(raw << 6), raw
 
 
 def test_sqrt_floor_postcondition_exhaustive():
     for raw in range(RAW_MAX + 1):
-        root, _ = sqrt(Fx(raw))
+        root, _ = sqrt(raw)
         t = raw << 6
-        assert root.raw * root.raw <= t
-        assert (root.raw + 1) * (root.raw + 1) > t
+        assert root * root <= t
+        assert (root + 1) * (root + 1) > t
 
 
 def test_sqrt_iteration_histogram():
     hist = {}
     for raw in range(RAW_MAX + 1):
-        _, tr = sqrt(Fx(raw))
+        _, tr = sqrt(raw)
         hist[tr.iterations] = hist.get(tr.iterations, 0) + 1
     assert hist == {0: 1, 2: 14227, 3: 2156}
     assert max(hist) <= fxp.SQRT_MAX_PASSES
@@ -162,7 +162,7 @@ def test_sqrt_iteration_histogram():
 def test_sqrt_seed_relative_error_bound():
     worst = 0.0
     for raw in range(1, RAW_MAX + 1):
-        _, tr = sqrt(Fx(raw))
+        _, tr = sqrt(raw)
         exact = math.sqrt(raw << 6)
         worst = max(worst, abs(tr.seed_x0 - exact) / exact)
     assert worst < 0.087

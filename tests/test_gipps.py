@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,11 @@ from gippsim.fxp import Fx, RAW_MAX, decode, encode
 from gippsim.gipps import (
     GippsOperands,
     InvalidOperandsError,
+    gipps_block,
     gipps_reference,
     gipps_step,
 )
-from gippsim.oracle import pipeline_oracle
+from gippsim.oracle import block_oracle, pipeline_oracle
 
 
 def ops_from_floats(a, t, vstar, v):
@@ -57,6 +60,38 @@ def test_preconditions():
         gipps_step(GippsOperands(Fx(64), Fx(0), Fx(64), Fx(0)))
     with pytest.raises(InvalidOperandsError, match="exceeds"):
         gipps_step(GippsOperands(Fx(64), Fx(64), Fx(64), Fx(65)))
+
+
+# Words outside 0..16383.  Unchecked, the first gives the datapath
+# va = Fx(-29) and the oracle a bare "negative radicand" ValueError; the
+# second (v <= V*, both past the word width) ran through both silently.
+OUT_OF_RANGE = [
+    (GippsOperands(Fx(64), Fx(64), Fx(64), Fx(-5)), "v raw -5 outside"),
+    (GippsOperands(Fx(64), Fx(64), Fx(20000), Fx(19000)), "vstar raw 20000 outside"),
+]
+
+
+@pytest.mark.parametrize("ops, message", OUT_OF_RANGE)
+def test_every_entry_point_rejects_out_of_range_words(ops, message):
+    with pytest.raises(InvalidOperandsError, match=message):
+        gipps_step(ops)
+    with pytest.raises(InvalidOperandsError, match=message):
+        pipeline_oracle(ops)
+    v = np.array([0, ops.v.raw], dtype=np.int64)
+    for block_entry in (gipps_block, block_oracle):
+        with pytest.raises(InvalidOperandsError, match=message):
+            block_entry(ops.a, ops.T, ops.vstar, v)
+        with pytest.raises(InvalidOperandsError, match=message):
+            block_entry(ops.a, ops.T, ops.vstar, v[::-1])
+
+
+def test_validate_names_each_out_of_range_operand():
+    legal = GippsOperands(Fx(64), Fx(64), Fx(64), Fx(0))
+    for name in ("a", "T", "vstar", "v"):
+        for raw in (-1, RAW_MAX + 1):
+            with pytest.raises(InvalidOperandsError, match=f"^{name} raw {raw} outside"):
+                dataclasses.replace(legal, **{name: Fx(raw)}).validate()
+    GippsOperands(Fx(RAW_MAX), Fx(RAW_MAX), Fx(RAW_MAX), Fx(RAW_MAX)).validate()
 
 
 def test_reference_value():

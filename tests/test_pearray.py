@@ -76,6 +76,16 @@ def test_invalid_operand_names_batch_index():
         dispatch_batch(batch)
 
 
+def test_out_of_range_operand_names_batch_index():
+    batch = small_batch(3)
+    batch.insert(1, GippsOperands(Fx(64), Fx(64), Fx(64), Fx(-5)))
+    with pytest.raises(InvalidOperandsError, match=r"^operand 1: v raw -5 outside"):
+        dispatch_batch(batch)
+    batch[1] = GippsOperands(Fx(64), Fx(64), Fx(20000), Fx(19000))
+    with pytest.raises(InvalidOperandsError, match=r"^operand 1: vstar raw 20000 outside"):
+        dispatch_batch(batch)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         PeArrayConfig(num_pes=0)

@@ -128,7 +128,7 @@ def test_each_operand_validated_once(monkeypatch):
     keys = set()
     for step in range(cfg.n_steps):
         for veh, v in zip(fleet, before):
-            keys.add((veh.max_accel.raw, div(Fx(v), veh.desired_speed)[0].raw))
+            keys.add((veh.max_accel.raw, div(v, veh.desired_speed.raw)[0]))
         before = [encode(r.velocity).raw for r in rows[step * n:(step + 1) * n]]
     assert len(stepped) == len(keys) < n * cfg.n_steps
 
