@@ -14,12 +14,12 @@ Rounding matches the hardware unit for unit:
 * ``sqrt`` is a table-seeded Babylonian unit; its result is the exact
   floor square root and it reports a per-pass trace.
 
-The ops take raw words, not ``Fx``, and return (word, flag).  ``add``,
-``sub``, ``mul`` and ``div`` are branch-free (the clamp is mask
+The ops take raw words, not ``Fx``.  ``add``, ``sub``, ``mul`` and
+``div`` return (word, clamped) and are branch-free (the clamp is mask
 arithmetic), so one copy of each rule runs on Python ints and on int64
 numpy arrays alike: the scalar instruction and the sweep's blocks.
-``sqrt`` takes one word.  ``Fx`` is the word type at the edges of the
-API: ``encode``/``decode`` and the instruction's operands and results.
+``sqrt`` takes one word and returns (root, trace).  ``Fx`` is the word
+type at the API's edges: ``encode``/``decode``, operands and results.
 
 All operations are pure: same operands, same words, no hidden state.
 """

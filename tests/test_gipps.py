@@ -62,9 +62,10 @@ def test_preconditions():
         gipps_step(GippsOperands(Fx(64), Fx(64), Fx(64), Fx(65)))
 
 
-# Words outside 0..16383.  Unchecked, the first gives the datapath
-# va = Fx(-29) and the oracle a bare "negative radicand" ValueError; the
-# second (v <= V*, both past the word width) ran through both silently.
+# Words outside 0..16383 that the arithmetic would take without a check:
+# the first drives the datapath to va = Fx(-29) and the oracle's floor
+# root to a negative radicand; the second (v <= V*, both past the word
+# width) saturates to va = 16383 on both paths.
 OUT_OF_RANGE = [
     (GippsOperands(Fx(64), Fx(64), Fx(64), Fx(-5)), "v raw -5 outside"),
     (GippsOperands(Fx(64), Fx(64), Fx(20000), Fx(19000)), "vstar raw 20000 outside"),
