@@ -29,7 +29,8 @@ import numpy as np
 from .fxp import Fx, OutOfRangeError, decode, encode, sqrt
 from .gipps import GippsOperands, InvalidOperandsError, gipps_reference, gipps_step
 from .pearray import DEFAULT_CLOCK_HZ, BatchReport, PeArrayConfig, dispatch_batch
-from .sim import CONFIG_KEYS, ConfigError, load_sim_config, run_sim, write_trace_csv
+from .sim import CONFIG_KEYS, ConfigError, SimRun, load_sim_config, write_trace_csv
+from .sim import run_sim  # noqa: F401  (perfbench's sim.run span binds it; ROADMAP item 6)
 from .sweep import DEFAULT_ACCELS, DEFAULT_TIMES, DEFAULT_VSTARS, grid_blocks, run_sweep
 
 _BENCH_SEED = 20260815    # fixed so bench operand sets are reproducible
@@ -137,12 +138,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_sim(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     cfg = load_sim_config(args.config, overrides)
-    rows, report = run_sim(cfg, _pe_config(args))
+    run = SimRun(cfg, _pe_config(args))
     with _replacing(args.out) as tmp:
-        write_trace_csv(rows, tmp)
-    print(f"trace: {args.out} ({len(rows)} rows)")
-    for line in report.lines():
+        write_trace_csv(run, tmp)
+    print(f"trace: {args.out} ({cfg.n_vehicles * cfg.n_steps} rows)")
+    for line in run.report.lines():
         print(line)
+    print(f"saturated_updates: {run.saturated_updates}")
     return 0
 
 

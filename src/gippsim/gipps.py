@@ -11,6 +11,8 @@ accuracy sweeps.  ``gipps_block`` and ``gipps_reference_block`` are the
 same two computations over a block of velocities that share a, T and
 V*, on numpy arrays, for the sweep; ``gipps_block`` runs ``gipps_step``'s
 stage body, which calls the ``fxp`` ops through the module.
+``tail_table`` runs the same body once over every (a, q) pair of a sim
+run, for the sim's per-run update table.
 
 Latency model: 1 cycle for divide/subtract/radicand add, the square
 root's Newton passes (2 in the instruction's operating domain), and
@@ -85,9 +87,10 @@ class GippsResult:
 
 
 def _stages(a, T, V, v, unit):
-    """The datapath in pipeline order on raw words, ``v`` an int or an
-    int64 array: va and the stage words, the second output of ``unit``
-    (the sqrt unit, radicand -> (root, detail)), and where a stage clamped."""
+    """The datapath in pipeline order on raw words, operands ints or
+    int64 arrays that broadcast: va and the stage words, the second
+    output of ``unit`` (the sqrt unit, radicand -> (root, detail)), where
+    a stage before the final add clamped, and where the final add did."""
     q, c_q = fxp.div(v, V)                 # q <= 1.0 since v <= V*
     f, c_f = fxp.sub(fxp.ONE.raw, q)
     r, c_r = fxp.add(K2.raw, q)            # radicand raw in 2..66
@@ -97,14 +100,14 @@ def _stages(a, T, V, v, unit):
     p3, c_3 = fxp.mul(p2, f)
     p4, c_4 = fxp.mul(p3, s)
     va, c_va = fxp.add(v, p4)              # no clamp to V* here
-    saturated = c_q | c_f | c_r | c_1 | c_2 | c_3 | c_4 | c_va
-    return (va, q, f, r, s, p1, p2, p3, p4), detail, saturated
+    clamped = c_q | c_f | c_r | c_1 | c_2 | c_3 | c_4
+    return (va, q, f, r, s, p1, p2, p3, p4), detail, clamped, c_va
 
 
 def gipps_step(ops: GippsOperands) -> GippsResult:
     """Run one velocity update through the fixed-point pipeline."""
     ops.validate()
-    words, strace, _ = _stages(ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw, fxp.sqrt)
+    words, strace, _, _ = _stages(ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw, fxp.sqrt)
     va, *stage = map(Fx, words)
     return GippsResult(va, 2 + strace.iterations, *stage, strace)
 
@@ -151,8 +154,25 @@ def gipps_block(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
     and runs once per distinct radicand in the block."""
     for end in (v.min(initial=0), v.max(initial=0)):      # an empty block checks v = 0
         GippsOperands(a, T, vstar, Fx(int(end))).validate()
-    (va, *stage), cycles, saturated = _stages(a.raw, T.raw, vstar.raw, v, _sqrt_per_radicand)
-    return GippsBlock(va, cycles, *stage, saturated)
+    (va, *stage), cycles, clamped, c_va = _stages(a.raw, T.raw, vstar.raw, v, _sqrt_per_radicand)
+    return GippsBlock(va, cycles, *stage, clamped | c_va)
+
+
+def tail_table(a: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p4 for every raw acceleration in the int64 array ``a`` and every
+    q = 0..64 raw, from ``gipps_step``'s stage body run once on a
+    (len(a), 65) grid, with the sqrt unit once per radicand.
+
+    p4 depends on (a, T, q) alone, and with V* = 1.0 (raw 64) the divider
+    gives q = v exactly, so entry [i, q] is the p4 of every update with
+    acceleration a[i], reaction time word ``T`` and v / V* = q.  Returns
+    p4 and where a stage before the final add clamped, both
+    (len(a), 65), and the cycles per q.  The operands are not checked;
+    a caller passes words that already passed ``validate``.
+    """
+    q = np.arange(fxp.ONE.raw + 1, dtype=np.int64)
+    words, cycles, clamped, _ = _stages(a[:, None], T, fxp.ONE.raw, q, _sqrt_per_radicand)
+    return words[-1], clamped, cycles
 
 
 def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:

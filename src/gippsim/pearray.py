@@ -5,8 +5,10 @@ assigned round-robin, so a batch of N in-domain updates on P PEs costs
 ceil(N / P) * 4 cycles.  PE count and clock only change the timing
 model, never the arithmetic: each operand set is validated and computed
 once, in batch order, by ``gipps_step``, so results are bit-identical
-whatever the host does for parallelism.  The sim dispatches only what
-its per-run table lacks, but charges each step ``batch_report``'s cycles.
+whatever the host does for parallelism.  The sim dispatches one batch
+per run, its fleet's operand sets from rest, as the operand check; its
+updates come from a table of the same datapath, and each step is
+charged ``batch_report``'s cycles.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+from gippsim import sim
 from gippsim.cli import main
 from gippsim.pearray import PeArrayConfig
 from gippsim.sim import SimConfig, format_trace, run_sim
@@ -27,6 +28,17 @@ def sha256_of(path):
 
 
 def test_default_sim_trace(capsys, tmp_path):
+    out = tmp_path / "trace.csv"
+    assert main(["sim", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256_of(out) == DEFAULT_SIM_SHA
+
+
+def test_sim_cli_builds_no_row_objects(capsys, monkeypatch, tmp_path):
+    def no_rows(*args):
+        raise AssertionError("gippsim sim built a TraceRow")
+
+    monkeypatch.setattr(sim, "TraceRow", no_rows)
     out = tmp_path / "trace.csv"
     assert main(["sim", "--out", str(out)]) == 0
     capsys.readouterr()

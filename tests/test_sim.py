@@ -1,17 +1,21 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gippsim import pearray
-from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, div, encode
+from gippsim import fxp, gipps, pearray
+from gippsim.cli import main
+from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, encode
 from gippsim.gipps import GippsOperands
 from gippsim.oracle import pipeline_oracle
 from gippsim.pearray import BatchReport, PeArrayConfig, dispatch_batch
 from gippsim.sim import (
     ConfigError,
     SimConfig,
+    SimRun,
     TRACE_HEADER,
     TraceRow,
     Vehicle,
+    build_tail,
     format_trace,
     init_fleet,
     load_sim_config,
@@ -61,10 +65,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
-    vel, pos, tails = [0], [0.0], {}
+    tail = build_tail(fleet, cfg)
+    vel, pos = np.zeros(1, dtype=np.int64), np.zeros(1)
     # drive far past saturation
     for _ in range(400):
-        step_sim(fleet, vel, pos, tails, cfg)
+        step_sim(tail, vel, pos, cfg)
     assert vel[0] == fleet[0].desired_speed.raw
 
 
@@ -99,8 +104,8 @@ def test_single_vehicle_exact_sequence():
 def test_positions_integrate_velocity():
     cfg = SimConfig(n_vehicles=3, n_steps=1)
     fleet = init_fleet(cfg)
-    vel, pos = [0] * 3, [20.0, 10.0, 0.0]
-    report = step_sim(fleet, vel, pos, {}, cfg, PeArrayConfig(num_pes=2))
+    vel, pos = np.zeros(3, dtype=np.int64), np.array([20.0, 10.0, 0.0])
+    report, _, _ = step_sim(build_tail(fleet, cfg), vel, pos, cfg, PeArrayConfig(num_pes=2))
     assert report.ops == 3 and report.cycles == 8
     for before, after, v in zip([20.0, 10.0, 0.0], pos, vel):
         assert v > 0
@@ -117,20 +122,16 @@ def test_each_operand_validated_once(monkeypatch):
     run_sim(SimConfig(n_vehicles=7, n_steps=3), PeArrayConfig(num_pes=2))
     assert len(validated) == len(stepped) > 0
 
-    # criterion-8 shape: one datapath run per distinct (a, q) the fleet
-    # meets, q taken from each step's pre-step velocities
-    stepped.clear()
-    cfg = SimConfig(n_vehicles=100, n_steps=500)
-    n = cfg.n_vehicles
-    rows, _ = run_sim(cfg, PeArrayConfig(num_pes=16))
-    fleet = init_fleet(cfg)
-    before = [0] * n
-    keys = set()
-    for step in range(cfg.n_steps):
-        for veh, v in zip(fleet, before):
-            keys.add((veh.max_accel.raw, div(v, veh.desired_speed.raw)[0]))
-        before = [encode(r.velocity).raw for r in rows[step * n:(step + 1) * n]]
-    assert len(stepped) == len(keys) < n * cfg.n_steps
+    # criterion-8 shape: one stage-body run on arrays builds the whole
+    # table, and each vehicle's operands are validated once, not per step
+    validated.clear()
+    ranks = []
+    real_stages = gipps._stages
+    monkeypatch.setattr(gipps, "_stages",
+                        lambda *args: ranks.append(np.ndim(args[3])) or real_stages(*args))
+    run_sim(SimConfig(n_vehicles=100, n_steps=500), PeArrayConfig(num_pes=16))
+    assert ranks.count(1) == 1
+    assert len(validated) == 100
 
 
 def per_vehicle_sim(cfg, pe_cfg):
@@ -222,10 +223,62 @@ def test_trace_steps_are_one_based():
 
 
 def test_write_trace_csv_roundtrip(tmp_path):
-    rows, _ = run_sim(SimConfig(n_vehicles=2, n_steps=1))
+    cfg = SimConfig(n_vehicles=2, n_steps=1)
     path = tmp_path / "trace.csv"
-    write_trace_csv(rows, str(path))
-    assert path.read_text(encoding="utf-8") == format_trace(rows)
+    write_trace_csv(SimRun(cfg), str(path))
+    assert path.read_text(encoding="utf-8") == format_trace(run_sim(cfg)[0])
+
+
+@pytest.mark.parametrize("cfg", [
+    # far past the step where velocities settle, spacing not a multiple of 2^-12
+    SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=10.1, seed=5),
+    SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=0.0, seed=6),
+    SimConfig(n_vehicles=1, n_steps=3000, initial_spacing_m=10.1),     # no gap column
+    SimConfig(n_vehicles=7, n_steps=1, initial_spacing_m=10.1),
+], ids=["spacing-10.1", "spacing-0", "one-vehicle", "one-step"])
+def test_cli_trace_equals_rows_and_per_vehicle_datapath(capsys, tmp_path, cfg):
+    pe_cfg = PeArrayConfig(num_pes=2)
+    out = tmp_path / "trace.csv"
+    flags = [f"--{key.replace('_', '-')}={getattr(cfg, key)!r}" for key in
+             ("n_steps", "n_vehicles", "initial_spacing_m", "seed")]
+    assert main(["sim", "--out", str(out), "--pes", "2", *flags]) == 0
+    report_lines = capsys.readouterr().out.splitlines()[1:5]
+    rows, report = run_sim(cfg, pe_cfg)
+    assert out.read_text(encoding="utf-8") == format_trace(rows)
+    assert (rows, report) == per_vehicle_sim(cfg, pe_cfg)
+    assert report_lines == report.lines()
+
+
+def scalar_saturated(fleet, cfg, vel):
+    """Updates at pre-step velocities ``vel`` in which some stage of the
+    scalar datapath clamped, final add included."""
+    count = 0
+    for veh, v in zip(fleet, vel):
+        _, _, clamped, c_va = gipps._stages(
+            veh.max_accel.raw, cfg.step_t.raw, veh.desired_speed.raw, v, fxp.sqrt)
+        count += clamped | c_va
+    return count
+
+
+@pytest.mark.parametrize("kw", [
+    dict(min_desired_speed=0.5, min_accel=1.0, max_accel=200.0),       # p1 clamps
+    dict(step_t=Fx(RAW_MAX), min_desired_speed=0.5, min_accel=1.0, max_accel=200.0),
+    dict(min_desired_speed=250.0, min_accel=90.0, max_accel=102.0),    # only the final add
+], ids=["p1", "p1-p2", "final-add"])
+def test_saturated_updates_recount(kw):
+    cfg = SimConfig(n_vehicles=6, n_steps=120, seed=3, max_desired_speed=VALUE_MAX, **kw)
+    fleet = init_fleet(cfg)
+    run = SimRun(cfg)
+    before, recount = [0] * cfg.n_vehicles, 0
+    for _, vel, _ in run:
+        recount += scalar_saturated(fleet, cfg, before)
+        before = vel.tolist()
+    assert run.saturated_updates == recount > 0
+
+
+def test_saturated_updates_default_config(capsys, tmp_path):
+    assert main(["sim", "--out", str(tmp_path / "trace.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "saturated_updates: 0"
 
 
 def test_config_validation():
