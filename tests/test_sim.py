@@ -232,10 +232,12 @@ def test_write_trace_csv_roundtrip(tmp_path):
 @pytest.mark.parametrize("cfg", [
     # far past the step where velocities settle, spacing not a multiple of 2^-12
     SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=10.1, seed=5),
+    # ... and one where pos + k * inc would round differently from k adds
+    SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=12.345, seed=5),
     SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=0.0, seed=6),
     SimConfig(n_vehicles=1, n_steps=3000, initial_spacing_m=10.1),     # no gap column
     SimConfig(n_vehicles=7, n_steps=1, initial_spacing_m=10.1),
-], ids=["spacing-10.1", "spacing-0", "one-vehicle", "one-step"])
+], ids=["spacing-10.1", "spacing-12.345", "spacing-0", "one-vehicle", "one-step"])
 def test_cli_trace_equals_rows_and_per_vehicle_datapath(capsys, tmp_path, cfg):
     pe_cfg = PeArrayConfig(num_pes=2)
     out = tmp_path / "trace.csv"
