@@ -17,7 +17,7 @@ Rounding matches the hardware unit for unit:
 The ops take raw words, not ``Fx``.  ``add``, ``sub``, ``mul`` and
 ``div`` return (word, clamped) and are branch-free (the clamp is mask
 arithmetic), so one copy of each rule runs on Python ints and on int64
-numpy arrays alike: the scalar instruction and the sweep's blocks.
+numpy arrays alike: the scalar instruction and its batch form.
 ``sqrt`` takes one word and returns (root, trace).  ``Fx`` is the word
 type at the API's edges: ``encode``/``decode``, operands and results.
 
@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 FRAC_BITS = 6
 SCALE = 1 << FRAC_BITS          # 64
@@ -106,9 +108,10 @@ def div(x, y):
 
     The 20-bit shifted dividend goes through the divider whole, so the
     quotient is floor((x * 64) / y) exactly.  ``y`` is one divisor word
-    shared by every ``x``; raw 0 raises.
+    or an int64 array that broadcasts with ``x``; a raw 0 anywhere in it
+    raises.
     """
-    if y == 0:
+    if not (y.all() if isinstance(y, np.ndarray) else y):
         raise DivideByZeroError("divide by raw 0")
     t = (x << FRAC_BITS) // y
     clamped = t > RAW_MAX

@@ -7,12 +7,11 @@ The datapath evaluates
 with a fixed stage order: one divide, one subtract, one constant add,
 the seeded square root, then a four-multiply chain and the final add.
 ``gipps_reference`` is the ideal real-arithmetic counterpart used for
-accuracy sweeps.  ``gipps_block`` and ``gipps_reference_block`` are the
-same two computations over a block of velocities that share a, T and
-V*, on numpy arrays, for the sweep; ``gipps_block`` runs ``gipps_step``'s
-stage body, which calls the ``fxp`` ops through the module.
-``tail_table`` runs the same body once over every (a, q) pair of a sim
-run, for the sim's per-run update table.
+accuracy sweeps.  ``gipps_batch`` runs ``gipps_step``'s stage body on
+raw operand words that broadcast as numpy arrays, any a, T, V* and v
+per element: the sweep's blocks and the sim's per-run update table.
+The stage body calls the ``fxp`` ops through the module.
+``gipps_reference_block`` is the ideal over a block of velocities.
 
 Latency model: 1 cycle for divide/subtract/radicand add, the square
 root's Newton passes (2 in the instruction's operating domain), and
@@ -49,17 +48,29 @@ class GippsOperands:
     v: Fx
 
     def validate(self) -> None:
-        for name, word in vars(self).items():
-            if not 0 <= word.raw <= fxp.RAW_MAX:
-                raise InvalidOperandsError(f"{name} raw {word.raw} outside 0..{fxp.RAW_MAX}")
-        if self.vstar.raw == 0:
-            raise InvalidOperandsError("desired speed must be positive")
-        if self.T.raw == 0:
-            raise InvalidOperandsError("reaction time must be positive")
-        if self.v.raw > self.vstar.raw:
-            raise InvalidOperandsError(
-                f"velocity raw {self.v.raw} exceeds desired speed raw {self.vstar.raw}"
-            )
+        check_operands(self.a.raw, self.T.raw, self.vstar.raw, self.v.raw)
+
+
+def check_operands(a, T, vstar, v) -> None:
+    """Raise InvalidOperandsError unless a, T, V* and v are legal operand
+    words: ints, or int64 arrays that broadcast, checked elementwise.
+    Where a rule fails on an array, the message names the index of its
+    first bad element in the broadcast shape."""
+    words = {"a": a, "T": T, "vstar": vstar, "v": v}
+    rules = [(f"{name} raw {{{name}}} outside 0..{fxp.RAW_MAX}", (w < 0) | (w > fxp.RAW_MAX))
+             for name, w in words.items()]
+    rules += [("desired speed must be positive", vstar == 0),
+              ("reaction time must be positive", T == 0),
+              ("velocity raw {v} exceeds desired speed raw {vstar}", v > vstar)]
+    for message, bad in rules:
+        if bad is True:
+            raise InvalidOperandsError(message.format(**words))
+        if bad is not False and bad.any():
+            shape = np.broadcast_shapes(*map(np.shape, words.values()))
+            i = np.unravel_index(np.broadcast_to(bad, shape).argmax(), shape)
+            at = {name: np.broadcast_to(w, shape)[i] for name, w in words.items()}
+            where = ",".join(map(str, i))
+            raise InvalidOperandsError(f"{message.format(**at)} at index {where}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +125,10 @@ def gipps_step(ops: GippsOperands) -> GippsResult:
 
 @dataclass(frozen=True)
 class GippsBlock:
-    """Raw words of a block of updates that share a, T and V*: one int64
-    array per stage over the block's velocities (``p1`` and ``p2`` are
-    one word per block), the cycle counts, and the cases where a clamp
-    fired in any stage."""
+    """Raw words of a batch of updates: one int64 array per stage, each
+    broadcastable to ``va``'s shape (``p1`` has the shape of ``a``), the
+    cycle counts, where a stage before the final add clamped, and where
+    the final add did."""
 
     va: np.ndarray
     cycles: np.ndarray
@@ -125,11 +136,12 @@ class GippsBlock:
     f: np.ndarray
     r: np.ndarray
     s: np.ndarray
-    p1: int
-    p2: int
+    p1: np.ndarray
+    p2: np.ndarray
     p3: np.ndarray
     p4: np.ndarray
-    saturated: np.ndarray
+    clamped: np.ndarray
+    va_clamped: np.ndarray
 
     def case_words(self, i: int) -> list[tuple[str, int]]:
         """Stage words, va and cycles of case ``i``, in pipeline order."""
@@ -138,41 +150,25 @@ class GippsBlock:
                 for name in names]
 
 
-def _sqrt_per_radicand(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sqrt unit once per distinct radicand word: roots and cycles."""
-    radicands, at = np.unique(r, return_inverse=True)
-    units = [fxp.sqrt(x) for x in radicands.tolist()]
-    s = np.array([root for root, _ in units], dtype=np.int64)[at]
-    cycles = np.array([2 + tr.iterations for _, tr in units], dtype=np.int64)[at]
-    return s, cycles
+def _sqrt_table(r):
+    """Roots and cycles of the radicand words ``r``, from one run of the
+    sqrt unit over every radicand legal operands make: 2 + q, q in 0..64."""
+    lo, hi = K2.raw, K2.raw + fxp.ONE.raw
+    assert np.all((lo <= r) & (r <= hi)), "radicand outside 2..66"
+    units = [fxp.sqrt(x) for x in range(lo, hi + 1)]
+    roots = np.array([root for root, _ in units], dtype=np.int64)
+    cycles = np.array([2 + tr.iterations for _, tr in units], dtype=np.int64)
+    return roots[r - lo], cycles[r - lo]
 
 
-def gipps_block(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
-    """``gipps_step``'s stage body on an int64 array ``v`` of raw
-    velocities that share a, T and V*, so case i equals ``gipps_step`` on
-    (a, T, V*, v[i]).  The sqrt unit depends on the radicand word alone
-    and runs once per distinct radicand in the block."""
-    for end in (v.min(initial=0), v.max(initial=0)):      # an empty block checks v = 0
-        GippsOperands(a, T, vstar, Fx(int(end))).validate()
-    (va, *stage), cycles, clamped, c_va = _stages(a.raw, T.raw, vstar.raw, v, _sqrt_per_radicand)
-    return GippsBlock(va, cycles, *stage, clamped | c_va)
-
-
-def tail_table(a: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p4 for every raw acceleration in the int64 array ``a`` and every
-    q = 0..64 raw, from ``gipps_step``'s stage body run once on a
-    (len(a), 65) grid, with the sqrt unit once per radicand.
-
-    p4 depends on (a, T, q) alone, and with V* = 1.0 (raw 64) the divider
-    gives q = v exactly, so entry [i, q] is the p4 of every update with
-    acceleration a[i], reaction time word ``T`` and v / V* = q.  Returns
-    p4 and where a stage before the final add clamped, both
-    (len(a), 65), and the cycles per q.  The operands are not checked;
-    a caller passes words that already passed ``validate``.
-    """
-    q = np.arange(fxp.ONE.raw + 1, dtype=np.int64)
-    words, cycles, clamped, _ = _stages(a[:, None], T, fxp.ONE.raw, q, _sqrt_per_radicand)
-    return words[-1], clamped, cycles
+def gipps_batch(a, T, vstar, v) -> GippsBlock:
+    """``gipps_step``'s stage body on raw operand words, ints or int64
+    arrays that broadcast, so each element equals ``gipps_step`` on its
+    own (a, T, V*, v).  The operands are checked first; the sqrt unit
+    runs once per call, over the 65 radicands legal operands make."""
+    check_operands(a, T, vstar, v)
+    (va, *stage), cycles, clamped, c_va = _stages(a, T, vstar, v, _sqrt_table)
+    return GippsBlock(va, cycles, *stage, clamped, c_va)
 
 
 def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:

@@ -4,14 +4,15 @@ This module is written against the datapath contract, not the datapath
 code: integer arithmetic end to end, clamps written as min via
 |x - 16383| rather than masks, a float-seeded floor square root with
 explicit fix-up instead of the Babylonian unit, and its own copy of
-the pass-counting rules; it shares only ``GippsOperands.validate``, the
+the pass-counting rules; it shares only ``check_operands``, the
 legal-operand check.  Tests hold ``pipeline_oracle`` and
 ``gipps.gipps_step`` bit for bit against each other, so a defect in
 either one surfaces as a mismatch instead of hiding in shared code.
 
-``block_oracle`` is the same evaluation over a block of velocities that
-share a, T and V*, on int64 arrays: one body serves both, written so
-that it runs on Python ints and on arrays alike.
+``block_oracle`` is the same evaluation over operand words that
+broadcast as int64 arrays, any a, T, V* and v per element: one body
+serves both, written so that it runs on Python ints and on arrays
+alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fxp import Fx, SqrtTrace
-from .gipps import GippsBlock, GippsOperands, GippsResult
+from .gipps import GippsBlock, GippsOperands, GippsResult, check_operands
 
 _RAW_MAX = 16383
 
@@ -89,7 +90,8 @@ def _quotient(v, V):
 
 
 def _stages(a, T, V, v, root):
-    """Every stage word, va, and where a result clamped.
+    """Every stage word, va, where a result before the final add
+    clamped, and where the final add did.
 
     ``v`` may be an int or an int64 array; ``root`` maps radicand words
     to their floor square roots in the same form.
@@ -103,20 +105,14 @@ def _stages(a, T, V, v, root):
     p3, o3 = _round_mul(p2, f)
     p4, o4 = _round_mul(p3, s)
     va, o5 = _clamp(v + p4)
-    return q, f, r, s, p1, p2, p3, p4, va, o1 | o2 | o3 | o4 | o5
-
-
-def _per_radicand(fn, r: np.ndarray) -> np.ndarray:
-    """``fn`` over an array of radicand words, once per distinct word."""
-    words, at = np.unique(r, return_inverse=True)
-    return np.array([fn(x) for x in words.tolist()], dtype=np.int64)[at]
+    return q, f, r, s, p1, p2, p3, p4, va, o1 | o2 | o3 | o4, o5
 
 
 def pipeline_oracle(ops: GippsOperands) -> GippsResult:
     """Evaluate one update with arbitrary-precision integers."""
     ops.validate()
     a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
-    q, f, r, s, p1, p2, p3, p4, va, _ = _stages(a, T, V, v, _floor_root)
+    q, f, r, s, p1, p2, p3, p4, va, _, _ = _stages(a, T, V, v, _floor_root)
     strace = _sqrt_unit_trace(r)
     return GippsResult(
         Fx(va), 2 + strace.iterations,
@@ -124,13 +120,14 @@ def pipeline_oracle(ops: GippsOperands) -> GippsResult:
     )
 
 
-def block_oracle(a: Fx, T: Fx, vstar: Fx, v: np.ndarray) -> GippsBlock:
-    """Evaluate a block of updates sharing a, T and V*; ``v`` is an
-    int64 array of raw velocities.  The root and the pass count depend
-    on the radicand word alone, so each distinct one is derived once."""
-    for end in (v.min(initial=0), v.max(initial=0)):      # an empty block checks v = 0
-        GippsOperands(a, T, vstar, Fx(int(end))).validate()
-    q, f, r, s, p1, p2, p3, p4, va, over = _stages(
-        a.raw, T.raw, vstar.raw, v, lambda r: _per_radicand(_floor_root, r))
-    cycles = 2 + _per_radicand(_sqrt_passes, r)
-    return GippsBlock(va, cycles, q, f, r, s, p1, p2, p3, p4, over)
+def block_oracle(a, T, vstar, v) -> GippsBlock:
+    """Evaluate a batch of updates on raw operand words, ints or int64
+    arrays that broadcast.  The root and the pass count depend on the
+    radicand word alone, 2 + q with q in 0..64, so both come from one
+    table over those 65 words."""
+    check_operands(a, T, vstar, v)
+    roots = np.array([_floor_root(x) for x in range(2, 67)], dtype=np.int64)
+    passes = np.array([_sqrt_passes(x) for x in range(2, 67)], dtype=np.int64)
+    q, f, r, s, p1, p2, p3, p4, va, over, over_va = _stages(
+        a, T, vstar, v, lambda r: roots[r - 2])
+    return GippsBlock(va, 2 + passes[r - 2], q, f, r, s, p1, p2, p3, p4, over, over_va)

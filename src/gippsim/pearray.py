@@ -7,8 +7,8 @@ model, never the arithmetic: each operand set is validated and computed
 once, in batch order, by ``gipps_step``, so results are bit-identical
 whatever the host does for parallelism.  The sim dispatches one batch
 per run, its fleet's operand sets from rest, as the operand check; its
-updates come from a table of the same datapath, and each step is
-charged ``batch_report``'s cycles.
+updates come from a ``gipps_batch`` table of the same datapath, and
+each step is charged ``batch_report``'s cycles.
 """
 
 from __future__ import annotations

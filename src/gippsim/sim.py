@@ -11,16 +11,16 @@ trace realism, not collision dynamics, so gaps are recorded as they
 come (a fast follower behind a slow leader will eventually close its
 gap through zero).
 
-Every update comes from one per-run table (``Tail``) that a single run
-of the datapath's stage body fills (``gipps.tail_table``): p4 depends
-only on (a, T, q), T is fixed for a run, and q = v / V* is 0..64 raw
-because v <= V*.  With V* = 1.0 (raw 64) the divider gives q = v, so
-the table's 65 columns cover every q a vehicle can reach.  A step is
-then q = (64 v) // V*, v = min(v + p4[i, q], V*) and pos = pos +
-(v / 64) * T, elementwise; as V* <= 16383, the min equals the
-saturating final add plus the clamp.  Elementwise numpy ops are the
-same IEEE operations as a per-vehicle loop, so positions keep their
-bytes even for a spacing that is not a multiple of 2**-12.
+Every update comes from one per-run table (``Tail``) that a single
+``gipps.gipps_batch`` call fills: p4 depends only on (a, T, q), T is
+fixed for a run, and q = v / V* is 0..64 raw because v <= V*.  With
+V* = 1.0 (raw 64) the divider gives q = v, so the table's 65 columns
+cover every q a vehicle can reach.  A step runs the datapath's own
+divider and final add on the fleet's arrays, q = div(v, V*) and
+v = add(v, p4[i, q]), then clamps v at V* and sets pos = pos + (v / 64)
+* T, elementwise.  Elementwise numpy ops are the same IEEE operations
+as a per-vehicle loop, so positions keep their bytes even for a spacing
+that is not a multiple of 2**-12.
 
 Once a step changes no velocity the state is a fixed point and every
 later step repeats it, so the run stops stepping and takes the
@@ -45,8 +45,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fxp import FRAC_BITS, RAW_MAX, SCALE, ZERO, Fx, OutOfRangeError, decode, encode
-from .gipps import GippsOperands, tail_table
+from . import fxp
+from .fxp import ONE, RAW_MAX, SCALE, ZERO, Fx, OutOfRangeError, decode, encode
+from .gipps import GippsOperands, gipps_batch
 from .pearray import BatchReport, PeArrayConfig, batch_report, dispatch_batch
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
@@ -149,7 +150,8 @@ def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
                     for veh in fleet], pe_cfg)
     a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
     vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
-    return Tail(vstar, *tail_table(a, cfg.step_t.raw))
+    table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
+    return Tail(vstar, table.p4, table.clamped, table.cycles)
 
 
 def step_sim(
@@ -166,9 +168,9 @@ def step_sim(
     point, and every later step repeats this one.
     """
     i = np.arange(len(vel))
-    q = (vel << FRAC_BITS) // tail.vstar
-    va = vel + tail.p4[i, q]
-    saturated = int(np.count_nonzero(tail.clamped[i, q] | (va > RAW_MAX)))
+    q, _ = fxp.div(vel, tail.vstar)
+    va, va_clamped = fxp.add(vel, tail.p4[i, q])
+    saturated = int(np.count_nonzero(tail.clamped[i, q] | va_clamped))
     va = np.minimum(va, tail.vstar)         # clamp host-side
     settled = np.array_equal(va, vel)
     vel[:] = va

@@ -24,7 +24,7 @@ from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode
 from .gipps import (
     GippsOperands,
     GippsResult,
-    gipps_block,
+    gipps_batch,
     gipps_reference,
     gipps_reference_block,
     gipps_step,
@@ -165,8 +165,8 @@ def run_sweep(
         row_sink(CSV_HEADER + "\n")
         text = [f"{raw / SCALE:.6f}" for raw in range(RAW_MAX + 1)]
     for a, T, vstar, v in blocks:
-        res = gipps_block(a, T, vstar, v)
-        ref = block_oracle(a, T, vstar, v)
+        res = gipps_batch(a.raw, T.raw, vstar.raw, v)
+        ref = block_oracle(a.raw, T.raw, vstar.raw, v)
         bad = (res.va != ref.va) | (res.cycles != ref.cycles)
         if bad.any():
             summary.mismatches += int(bad.sum())
@@ -182,7 +182,7 @@ def run_sweep(
         summary.max_abs_err = max(summary.max_abs_err, max(errs, default=0.0))
         for c, n in zip(*np.unique(res.cycles, return_counts=True)):
             hist[int(c)] += int(n)
-        summary.saturated_cases += int(res.saturated.sum())
+        summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
         summary.cases += len(errs)
         if row_sink is not None:
             prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +92,19 @@ def test_div_truncates():
     assert q == RAW_MAX and sat                # 255.98/0.015625 overflows
     with pytest.raises(DivideByZeroError):
         div(ONE.raw, ZERO.raw)
+
+
+def test_div_array_divisor():
+    rng = np.random.Generator(np.random.PCG64(11))
+    x = rng.integers(0, RAW_MAX + 1, 500)
+    y = rng.integers(1, RAW_MAX + 1, 500)
+    q, sat = div(x, y)
+    want = [div(a, b) for a, b in zip(x.tolist(), y.tolist())]
+    assert q.tolist() == [w for w, _ in want]
+    assert sat.tolist() == [c for _, c in want]
+    y[137] = ZERO.raw
+    with pytest.raises(DivideByZeroError):
+        div(x, y)
 
 
 @given(raws, raws)

@@ -9,7 +9,7 @@ from gippsim.fxp import Fx, RAW_MAX, decode, encode
 from gippsim.gipps import (
     GippsOperands,
     InvalidOperandsError,
-    gipps_block,
+    gipps_batch,
     gipps_reference,
     gipps_step,
 )
@@ -79,11 +79,11 @@ def test_every_entry_point_rejects_out_of_range_words(ops, message):
     with pytest.raises(InvalidOperandsError, match=message):
         pipeline_oracle(ops)
     v = np.array([0, ops.v.raw], dtype=np.int64)
-    for block_entry in (gipps_block, block_oracle):
+    for block_entry in (gipps_batch, block_oracle):
         with pytest.raises(InvalidOperandsError, match=message):
-            block_entry(ops.a, ops.T, ops.vstar, v)
+            block_entry(ops.a.raw, ops.T.raw, ops.vstar.raw, v)
         with pytest.raises(InvalidOperandsError, match=message):
-            block_entry(ops.a, ops.T, ops.vstar, v[::-1])
+            block_entry(ops.a.raw, ops.T.raw, ops.vstar.raw, v[::-1])
 
 
 def test_validate_names_each_out_of_range_operand():

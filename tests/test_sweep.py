@@ -20,7 +20,7 @@ from gippsim.cli import main
 from gippsim.fxp import RAW_MAX, Fx, decode
 from gippsim.gipps import (
     GippsOperands,
-    gipps_block,
+    gipps_batch,
     gipps_reference,
     gipps_reference_block,
     gipps_step,
@@ -32,7 +32,8 @@ STAGES = ("q", "f", "r", "s", "p1", "p2", "p3", "p4")
 
 
 def scalar_saturated(ops):
-    """Whether any fxp op flagged a clamp while ``gipps_step`` ran ``ops``."""
+    """Whether a stage before the final add, and whether the final add,
+    flagged a clamp while ``gipps_step`` ran ``ops``."""
     flags = []
 
     def recording(op):
@@ -45,7 +46,7 @@ def scalar_saturated(ops):
     ops_by_name = {name: recording(getattr(fxp, name)) for name in ("div", "sub", "add", "mul")}
     with mock.patch.multiple(fxp, **ops_by_name):
         gipps_step(ops)
-    return any(flags)
+    return any(flags[:-1]), flags[-1]          # the final add is the last op
 
 
 def per_case_sweep(cases):
@@ -85,38 +86,45 @@ def per_case_sweep(cases):
 
 @st.composite
 def blocks(draw):
-    """A legal block: any a, T >= 1, V* >= 1, velocities in 0..V*."""
-    a = draw(st.integers(0, RAW_MAX))
-    t = draw(st.integers(1, RAW_MAX))
-    vstar = draw(st.integers(1, RAW_MAX))
-    v = draw(st.lists(st.integers(0, vstar), min_size=1, max_size=40))
-    return Fx(a), Fx(t), Fx(vstar), np.array(v, dtype=np.int64)
+    """A legal batch: per element any a, T >= 1, V* >= 1 and v in 0..V*."""
+    n = draw(st.integers(1, 40))
+    a = draw(st.lists(st.integers(0, RAW_MAX), min_size=n, max_size=n))
+    t = draw(st.lists(st.integers(1, RAW_MAX), min_size=n, max_size=n))
+    vstar = draw(st.lists(st.integers(1, RAW_MAX), min_size=n, max_size=n))
+    v = [draw(st.integers(0, x)) for x in vstar]
+    return tuple(np.array(x, dtype=np.int64) for x in (a, t, vstar, v))
+
+
+def each_case(block):
+    """The batch's operand sets, one per element of its broadcast shape."""
+    columns = [x.tolist() for x in np.broadcast_arrays(*block)]
+    return [GippsOperands(*map(Fx, words)) for words in zip(*columns)]
 
 
 @given(blocks())
-@example((Fx(12800), Fx(64), Fx(320), np.arange(321, dtype=np.int64)))   # p1 clamps
-@example((Fx(16383), Fx(16383), Fx(16383), np.array([0, 8000, 16383])))  # va clamps
+@example((12800, 64, 320, np.arange(321, dtype=np.int64)))              # p1 clamps
+@example((16383, 16383, 16383, np.array([0, 8000, 16383])))             # va clamps
+@example((6500, 64, 16383, np.array([0, 16000, 16383])))                # only va clamps
 def test_block_datapath_equals_gipps_step(block):
-    a, t, vstar, v = block
-    res = gipps_block(a, t, vstar, v)
-    for i, raw in enumerate(v.tolist()):
-        ops = GippsOperands(a, t, vstar, Fx(raw))
+    res = gipps_batch(*block)
+    for i, ops in enumerate(each_case(block)):
         one = gipps_step(ops)
         want = [(name, fx.raw) for name, fx in one.stages()]
         want += [("va", one.va.raw), ("cycles", one.cycles)]
         assert res.case_words(i) == want
-        assert bool(res.saturated[i]) == scalar_saturated(ops)
+        assert (bool(res.clamped[i]), bool(res.va_clamped[i])) == scalar_saturated(ops)
 
 
 @given(blocks())
-@example((Fx(12800), Fx(64), Fx(320), np.arange(321, dtype=np.int64)))
+@example((12800, 64, 320, np.arange(321, dtype=np.int64)))
+@example((6500, 64, 16383, np.array([0, 16000, 16383])))
 def test_block_oracle_equals_pipeline_oracle(block):
-    a, t, vstar, v = block
-    ref = block_oracle(a, t, vstar, v)
-    res = gipps_block(a, t, vstar, v)
-    assert np.array_equal(ref.saturated, res.saturated)
-    for i, raw in enumerate(v.tolist()):
-        one = pipeline_oracle(GippsOperands(a, t, vstar, Fx(raw)))
+    ref = block_oracle(*block)
+    res = gipps_batch(*block)
+    assert np.array_equal(ref.clamped, res.clamped)
+    assert np.array_equal(ref.va_clamped, res.va_clamped)
+    for i, ops in enumerate(each_case(block)):
+        one = pipeline_oracle(ops)
         want = [(name, fx.raw) for name, fx in one.stages()]
         want += [("va", one.va.raw), ("cycles", one.cycles)]
         assert ref.case_words(i) == want
@@ -124,13 +132,19 @@ def test_block_oracle_equals_pipeline_oracle(block):
 
 def test_block_entries_check_operands():
     v = np.arange(5, dtype=np.int64)
-    for entry in (gipps_block, block_oracle):
+    vstar = np.full(5, 64, dtype=np.int64)
+    for entry in (gipps_batch, block_oracle):
         with pytest.raises(ValueError, match="exceeds"):
-            entry(Fx(64), Fx(64), Fx(3), v)
+            entry(64, 64, 3, v)
         with pytest.raises(ValueError, match="reaction time"):
-            entry(Fx(64), Fx(0), Fx(64), v)
+            entry(64, 0, 64, v)
         with pytest.raises(ValueError, match="desired speed"):
-            entry(Fx(64), Fx(64), Fx(0), v[:1])
+            entry(64, 64, 0, v[:1])
+        # one bad element in a per-element V* batch is named by its index
+        with pytest.raises(ValueError, match="^velocity raw 4 exceeds .* raw 3 at index 3$"):
+            entry(64, 64, np.where(v == 3, 3, vstar), np.where(v == 3, 4, v))
+        with pytest.raises(ValueError, match="^desired speed must be positive at index 3$"):
+            entry(64, 64, np.where(v == 3, 0, vstar), v)
 
 
 axis_words = st.lists(st.integers(0, RAW_MAX), min_size=1, max_size=2)
@@ -175,7 +189,7 @@ def test_saturated_cases_counts_clamps(capsys, tmp_path, default_grid):
             "--vstars", "5", "--accels", "200", "--times", "1"]
     assert main(argv) == 0                       # saturation is reported, not failed
     out = capsys.readouterr().out
-    recount = sum(scalar_saturated(ops)
+    recount = sum(any(scalar_saturated(ops))
                   for ops in grid_cases(vstars=(5.0,), accels=(200.0,), times=(1.0,)))
     assert recount == 321
     assert f"saturated_cases: {recount}" in out.splitlines()
@@ -226,7 +240,7 @@ def test_ideal_block_equals_gipps_reference_on_random_floats():
 def test_mean_abs_err_sums_errors_in_case_order(default_grid):
     errs = []
     for a, t, vstar, v in grid_blocks():
-        va = gipps_block(a, t, vstar, v).va.tolist()
+        va = gipps_batch(a.raw, t.raw, vstar.raw, v).va.tolist()
         errs += [abs(x / 64 - gipps_reference(decode(a), decode(t), decode(vstar), raw / 64))
                  for raw, x in zip(v.tolist(), va)]
     total = 0.0
