@@ -22,7 +22,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -102,32 +102,33 @@ def _axis(text: str) -> tuple[float, ...]:
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[str]:
-    """Yield a new temp path beside ``path``: moved over ``path`` on
-    success, removed on any exception (KeyboardInterrupt included)."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        yield path          # a device or FIFO such as /dev/null: write in place
-        return
+def _replacing(path: str) -> Iterator[TextIO]:
+    """Yield a new UTF-8 text file beside ``path``: moved over ``path``
+    on success, removed on any exception (KeyboardInterrupt included).
+    A device or FIFO such as /dev/null is written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)     # replace a symlink's target, not the link
-    tmp = f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    name = path if in_place else f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
-        open(tmp, "x").close()
+        fh = open(name, "w" if in_place else "x", encoding="utf-8", newline="\n")
     except OSError as exc:          # report the path asked for, not the temp name
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        yield tmp
-        os.replace(tmp, target)
+        with fh:
+            yield fh
+        if not in_place:
+            os.replace(name, target)
     except BaseException:
-        os.remove(tmp)
+        if not in_place:
+            os.remove(name)
         raise
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     blocks = grid_blocks(args.vstars, args.accels, args.times,
                          v_equals_vstar=args.v_equals_vstar)
-    with _replacing(args.out) as tmp:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            summary = run_sweep(blocks, row_sink=fh.write)
+    with _replacing(args.out) as fh:
+        summary = run_sweep(blocks, row_sink=fh.write)
     for line in summary.lines():
         print(line)
     for line in summary.mismatch_report:
@@ -139,8 +140,8 @@ def cmd_sim(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in CONFIG_KEYS}
     cfg = load_sim_config(args.config, overrides)
     run = SimRun(cfg, _pe_config(args))
-    with _replacing(args.out) as tmp:
-        write_trace_csv(run, tmp)
+    with _replacing(args.out) as fh:
+        write_trace_csv(run, fh)
     print(f"trace: {args.out} ({cfg.n_vehicles * cfg.n_steps} rows)")
     for line in run.report.lines():
         print(line)
@@ -189,7 +190,7 @@ def run_bench(n_ops: int, iterations: int, pe_cfg: PeArrayConfig) -> BenchReport
 
     _, report = dispatch_batch(batch, pe_cfg)
     host_ns_per_op = per_iter_ns / n_ops
-    modeled_ns_per_op = 4e9 / pe_cfg.clock_hz
+    modeled_ns_per_op = report.per_op_cycles * 1e9 / pe_cfg.clock_hz
     return BenchReport(
         host_ns_per_op=host_ns_per_op,
         host_iterations=iterations,

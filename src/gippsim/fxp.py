@@ -79,6 +79,16 @@ def decode(v: Fx) -> float:
     return v.raw / SCALE
 
 
+def word_texts() -> list[str]:
+    """The ``"%.6f"`` text of every word's value, indexed by raw.
+
+    raw / 64 has at most six decimals, so its text is exactly the integer
+    part and one of 64 fractions: much cheaper than 16,384 formats.
+    """
+    fractions = [".%06d" % (k * 10**6 // SCALE) for k in range(SCALE)]
+    return [i + f for i in map(str, range((RAW_MAX + 1) // SCALE)) for f in fractions]
+
+
 def add(x, y):
     """Saturating add.  Flag is True where the sum clamped at 16383."""
     t = x + y

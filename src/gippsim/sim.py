@@ -16,16 +16,18 @@ Every update comes from one per-run table (``Tail``) that a single
 fixed for a run, and q = v / V* is 0..64 raw because v <= V*.  With
 V* = 1.0 (raw 64) the divider gives q = v, so the table's 65 columns
 cover every q a vehicle can reach.  A step runs the datapath's own
-divider and final add on the fleet's arrays, q = div(v, V*) and
-v = add(v, p4[i, q]), then clamps v at V* and sets pos = pos + (v / 64)
-* T, elementwise.  Elementwise numpy ops are the same IEEE operations
-as a per-vehicle loop, so positions keep their bytes even for a spacing
-that is not a multiple of 2**-12.
+divider and final add on the fleet's velocity array, q = div(v, V*)
+and v = add(v, p4[i, q]), then clamps v at V*.  Every legal update
+takes the same cycles (the sqrt unit takes two passes on each radicand
+2..66), so a run charges one batch report per step.
 
 Once a step changes no velocity the state is a fixed point and every
-later step repeats it, so the run stops stepping and takes the
-remaining positions from ``np.add.accumulate`` over blocks of steps,
-which adds one row at a time, in step order, as the steps would.
+later step repeats it, so the run stops stepping and repeats the
+settled velocities.  Positions come from ``np.add.accumulate`` over
+blocks of steps' increments (v / 64) * T: it adds one row at a time,
+in step order, the same IEEE adds as pos = pos + (v / 64) * T at each
+step, so positions keep their bytes even for a spacing that is not a
+multiple of 2**-12.
 
 ``SimRun`` is a stream of steps: ``write_trace_csv`` formats each step
 as it comes, so the CLI never holds the trace, and ``run_sim`` collects
@@ -41,17 +43,17 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import fxp
-from .fxp import ONE, RAW_MAX, SCALE, ZERO, Fx, OutOfRangeError, decode, encode
+from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode, word_texts
 from .gipps import GippsOperands, gipps_batch
 from .pearray import BatchReport, PeArrayConfig, batch_report, dispatch_batch
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
-_SETTLED_ROWS = 1 << 14     # rows per position block once the fleet has settled
+_BLOCK_ROWS = 1 << 14       # trace rows (steps x vehicles) per block of steps
 
 
 class ConfigError(ValueError):
@@ -116,12 +118,11 @@ class TraceRow(NamedTuple):
 class Tail(NamedTuple):
     """A run's velocity-update table: vehicle i's update at v / V* = q
     adds ``p4[i, q]``, and a stage before the final add clamped where
-    ``clamped[i, q]``; the datapath takes ``cycles[q]``."""
+    ``clamped[i, q]``."""
 
     vstar: np.ndarray       # raw V* per vehicle
     p4: np.ndarray          # (n, 65)
     clamped: np.ndarray     # (n, 65)
-    cycles: np.ndarray      # (65,)
 
 
 def init_fleet(cfg: SimConfig) -> list[Vehicle]:
@@ -136,8 +137,9 @@ def init_fleet(cfg: SimConfig) -> list[Vehicle]:
 
 
 def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
-               pe_cfg: PeArrayConfig = PeArrayConfig()) -> Tail:
-    """Check each vehicle's operands once and build the run's table.
+               pe_cfg: PeArrayConfig = PeArrayConfig()) -> tuple[Tail, int]:
+    """Check each vehicle's operands once and build the run's table;
+    returns it with the datapath's cycles per update.
 
     The check dispatches the fleet's first operand sets, from rest, as one
     batch (v only moves within 0..V* after that); ``dispatch_batch``
@@ -151,21 +153,15 @@ def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
     a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
     vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
     table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
-    return Tail(vstar, table.p4, table.clamped, table.cycles)
+    return Tail(vstar, table.p4, table.clamped), int(table.cycles.max())
 
 
-def step_sim(
-    tail: Tail,
-    vel: np.ndarray,
-    pos: np.ndarray,
-    cfg: SimConfig,
-    pe_cfg: PeArrayConfig = PeArrayConfig(),
-) -> tuple[BatchReport, int, bool]:
-    """Advance vel (int64 raw words) and pos (float64) in place by one step.
+def step_sim(tail: Tail, vel: np.ndarray) -> tuple[int, bool]:
+    """Advance vel (int64 raw words) in place by one step.
 
-    Returns the step's report, how many of its updates saturated a
-    stage, and whether no velocity changed: the state is then a fixed
-    point, and every later step repeats this one.
+    Returns how many of the step's updates saturated a stage, and
+    whether no velocity changed: the state is then a fixed point, and
+    every later step repeats this one.
     """
     i = np.arange(len(vel))
     q, _ = fxp.div(vel, tail.vstar)
@@ -174,19 +170,18 @@ def step_sim(
     va = np.minimum(va, tail.vstar)         # clamp host-side
     settled = np.array_equal(va, vel)
     vel[:] = va
-    pos += vel / SCALE * decode(cfg.step_t)
-    return batch_report(len(vel), int(tail.cycles[q].max()), pe_cfg), saturated, settled
+    return saturated, settled
 
 
 class SimRun:
     """The workload as a stream of steps.
 
     Iterating yields ``(step, vel, pos)`` after each step, numbered from
-    1: int64 raw velocity words and float64 positions, arrays the run
-    goes on to update, so a consumer reads them before asking for the
-    next step.  When the stream ends, ``report`` sums ops, cycles and
-    modeled time over all steps, and ``saturated_updates`` counts the
-    updates in which a datapath stage clamped.
+    1: int64 raw velocity words and float64 positions, rows of arrays
+    that the run never writes again.  When the stream ends, ``report``
+    sums ops, cycles and modeled time over all steps, and
+    ``saturated_updates`` counts the updates in which a datapath stage
+    clamped.
     """
 
     def __init__(self, cfg: SimConfig, pe_cfg: PeArrayConfig = PeArrayConfig()) -> None:
@@ -197,41 +192,38 @@ class SimRun:
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         cfg = self.cfg
-        tail = build_tail(init_fleet(cfg), cfg, self.pe_cfg)
-        n = cfg.n_vehicles
+        n, n_steps = cfg.n_vehicles, cfg.n_steps
+        tail, per_op = build_tail(init_fleet(cfg), cfg, self.pe_cfg)
         vel = np.zeros(n, dtype=np.int64)
         pos = np.arange(n - 1, -1, -1) * cfg.initial_spacing_m
-        ops = cycles = per_op = saturated = 0
-        time_ns = 0.0
-        for step in range(1, cfg.n_steps + 1):
-            report, sat, settled = step_sim(tail, vel, pos, cfg, self.pe_cfg)
-            ops += report.ops
-            cycles += report.cycles
-            time_ns += report.modeled_time_ns
-            per_op = max(per_op, report.per_op_cycles)
-            saturated += sat
-            yield step, vel, pos
-            if settled:
-                break
-        rest = cfg.n_steps - step
-        for _ in range(rest):           # one add per step, in step order
-            time_ns += report.modeled_time_ns
-        self.report = BatchReport(ops + rest * report.ops, cycles + rest * report.cycles,
-                                  time_ns, per_op)
-        self.saturated_updates = saturated + rest * sat
-        # Settled: every later step adds the same increment to each
-        # position.  accumulate adds one row at a time, the same IEEE
-        # adds in the same order as the steps would make.
-        inc = vel / SCALE * decode(cfg.step_t)
-        chunk = max(1, _SETTLED_ROWS // n)
-        while step < cfg.n_steps:
-            block = np.empty((min(chunk, cfg.n_steps - step) + 1, n))
+        saturated, settled = 0, False
+        per_block = max(1, _BLOCK_ROWS // n)
+        for first in range(1, n_steps + 1, per_block):
+            vels = np.empty((min(per_block, n_steps + 1 - first), n), dtype=np.int64)
+            k = 0
+            while k < len(vels) and not settled:
+                sat, settled = step_sim(tail, vel)
+                saturated += sat
+                vels[k] = vel
+                k += 1
+                if settled:     # every later step repeats this one
+                    saturated += sat * (n_steps + 1 - first - k)
+            vels[k:] = vel
+            # One add per row, in step order: the adds a per-step
+            # pos + v * T would make, stepped and settled steps alike.
+            block = np.empty((len(vels) + 1, n))
             block[0] = pos
-            block[1:] = inc
+            block[1:] = vels / SCALE * decode(cfg.step_t)
             block = np.add.accumulate(block, axis=0)
-            for pos in block[1:]:
-                step += 1
-                yield step, vel, pos
+            pos = block[-1]
+            yield from zip(range(first, first + len(vels)), vels, block[1:])
+        report = batch_report(n, per_op, self.pe_cfg)
+        time_ns = 0.0
+        for _ in range(n_steps):        # one add per step, in step order
+            time_ns += report.modeled_time_ns
+        self.report = BatchReport(n_steps * report.ops, n_steps * report.cycles,
+                                  time_ns, per_op)
+        self.saturated_updates = saturated
 
 
 def run_sim(
@@ -256,31 +248,27 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
     return buf.getvalue()
 
 
-def write_trace_csv(steps: Iterable[tuple[int, np.ndarray, np.ndarray]], path: str) -> None:
-    """Write a ``SimRun`` stream as the trace CSV, one step at a time.
+def write_trace_csv(steps: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
+    """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one step at a time.
 
     Each step's rows come from one %-template over the fleet, with the
-    velocity column from a raw -> "%.6f" table; the bytes are those of
+    velocity column from ``fxp.word_texts``; the bytes are those of
     ``format_trace`` on the same run's rows.
     """
-    # raw / 64 has at most six decimals, so its "%.6f" is exactly the
-    # integer part and one of 64 fractions: much cheaper than 16,384 formats
-    fractions = [".%06d" % (k * 10**6 // SCALE) for k in range(SCALE)]
-    text = [i + f for i in map(str, range((RAW_MAX + 1) // SCALE)) for f in fractions]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        template = None
-        for step, vel, pos in steps:
-            if template is None:
-                n = len(pos)
-                template = "%d,0,%s,%.6f,%s\n" + "".join(
-                    f"%d,{i},%s,%.6f,%.6f\n" for i in range(1, n))
-                args: list = [""] * (4 * n)
-            args[0::4] = [step] * n
-            args[1::4] = [text[v] for v in vel.tolist()]
-            args[2::4] = pos.tolist()
-            args[7::4] = (pos[:-1] - pos[1:]).tolist()
-            fh.write(template % tuple(args))
+    text = word_texts()
+    fh.write(TRACE_HEADER + "\n")
+    template = None
+    for step, vel, pos in steps:
+        if template is None:
+            n = len(pos)
+            template = "%d,0,%s,%.6f,%s\n" + "".join(
+                f"%d,{i},%s,%.6f,%.6f\n" for i in range(1, n))
+            args: list = [""] * (4 * n)
+        args[0::4] = [step] * n
+        args[1::4] = [text[v] for v in vel.tolist()]
+        args[2::4] = pos.tolist()
+        args[7::4] = (pos[:-1] - pos[1:]).tolist()
+        fh.write(template % tuple(args))
 
 
 # Every SimConfig field is a config key, with the type its value is

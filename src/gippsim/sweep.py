@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode
+from .fxp import SCALE, ZERO, Fx, decode, encode, word_texts
 from .gipps import (
     GippsOperands,
     GippsResult,
@@ -163,7 +163,7 @@ def run_sweep(
     err_total = 0.0
     if row_sink is not None:
         row_sink(CSV_HEADER + "\n")
-        text = [f"{raw / SCALE:.6f}" for raw in range(RAW_MAX + 1)]
+        text = word_texts()
     for a, T, vstar, v in blocks:
         res = gipps_batch(a.raw, T.raw, vstar.raw, v)
         ref = block_oracle(a.raw, T.raw, vstar.raw, v)

@@ -129,10 +129,9 @@ def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path
 
 
 def test_sim_failed_write_keeps_existing_output(capsys, monkeypatch, tmp_path):
-    def write_trace_csv(rows, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,vehicle_id")
-            raise OSError("disk full")
+    def write_trace_csv(steps, fh):
+        fh.write("step,vehicle_id")
+        raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_trace_csv", write_trace_csv)
     out_csv = tmp_path / "trace.csv"

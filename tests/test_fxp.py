@@ -21,6 +21,7 @@ from gippsim.fxp import (
     mul,
     sqrt,
     sub,
+    word_texts,
 )
 from gippsim.oracle import floor_isqrt
 
@@ -57,6 +58,10 @@ def test_encode_range_errors():
 def test_decode_encode_roundtrip_exhaustive():
     for raw in range(RAW_MAX + 1):
         assert encode(decode(Fx(raw))).raw == raw
+
+
+def test_word_texts_format_every_word():
+    assert word_texts() == [f"{raw / 64:.6f}" for raw in range(RAW_MAX + 1)]
 
 
 def test_add_saturates():

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gippsim import fxp, gipps, pearray
+from gippsim import fxp, gipps, pearray, sim
 from gippsim.cli import main
 from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, encode
 from gippsim.gipps import GippsOperands
@@ -65,11 +67,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
-    tail = build_tail(fleet, cfg)
-    vel, pos = np.zeros(1, dtype=np.int64), np.zeros(1)
+    tail, _ = build_tail(fleet, cfg)
+    vel = np.zeros(1, dtype=np.int64)
     # drive far past saturation
     for _ in range(400):
-        step_sim(tail, vel, pos, cfg)
+        step_sim(tail, vel)
     assert vel[0] == fleet[0].desired_speed.raw
 
 
@@ -103,10 +105,9 @@ def test_single_vehicle_exact_sequence():
 
 def test_positions_integrate_velocity():
     cfg = SimConfig(n_vehicles=3, n_steps=1)
-    fleet = init_fleet(cfg)
-    vel, pos = np.zeros(3, dtype=np.int64), np.array([20.0, 10.0, 0.0])
-    report, _, _ = step_sim(build_tail(fleet, cfg), vel, pos, cfg, PeArrayConfig(num_pes=2))
-    assert report.ops == 3 and report.cycles == 8
+    run = SimRun(cfg, PeArrayConfig(num_pes=2))
+    [(_, vel, pos)] = list(run)
+    assert run.report.ops == 3 and run.report.cycles == 8
     for before, after, v in zip([20.0, 10.0, 0.0], pos, vel):
         assert v > 0
         assert after == before + decode(Fx(v)) * decode(cfg.step_t)
@@ -225,7 +226,8 @@ def test_trace_steps_are_one_based():
 def test_write_trace_csv_roundtrip(tmp_path):
     cfg = SimConfig(n_vehicles=2, n_steps=1)
     path = tmp_path / "trace.csv"
-    write_trace_csv(SimRun(cfg), str(path))
+    with open(path, "x", encoding="utf-8", newline="\n") as fh:
+        write_trace_csv(SimRun(cfg), fh)
     assert path.read_text(encoding="utf-8") == format_trace(run_sim(cfg)[0])
 
 
@@ -276,6 +278,67 @@ def test_saturated_updates_recount(kw):
         recount += scalar_saturated(fleet, cfg, before)
         before = vel.tolist()
     assert run.saturated_updates == recount > 0
+
+
+# Runs whose fleet settles (or not, "unsettled") at a step that the block
+# sizes in block_steps put before, at and after a block boundary.
+BLOCK_CASES = {
+    "spacing-12.345": SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=12.345, seed=5),
+    "unsettled": SimConfig(n_vehicles=3, n_steps=40, initial_spacing_m=12.345, seed=5),
+    "p1-saturating": SimConfig(n_vehicles=6, n_steps=120, seed=3, min_desired_speed=0.5,
+                               max_desired_speed=VALUE_MAX, min_accel=1.0, max_accel=200.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(cfg, pe_cfg):
+    """``per_vehicle_sim``'s rows and report, the scalar recount of
+    saturated updates, and the step whose update first changes no
+    velocity (``n_steps`` when none does)."""
+    rows, report = per_vehicle_sim(cfg, pe_cfg)
+    fleet = init_fleet(cfg)
+    n = cfg.n_vehicles
+    before, saturated, settle = [0] * n, 0, cfg.n_steps
+    for step in range(1, cfg.n_steps + 1):
+        saturated += scalar_saturated(fleet, cfg, before)
+        after = [int(r.velocity * 64) for r in rows[(step - 1) * n:step * n]]
+        if after == before:
+            settle = min(settle, step)
+        before = after
+    return rows, report, saturated, settle
+
+
+def block_steps(cfg, settle):
+    """Steps per block: small ones, one past the run, and the three
+    that end a block just before, at and just after the settled step."""
+    return sorted({1, 3, 7, settle - 1, settle, settle + 1, cfg.n_steps + 1} - {0})
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_any_block_size_gives_the_per_vehicle_run(monkeypatch, cfg):
+    pe_cfg = PeArrayConfig(num_pes=2)
+    rows, report, saturated, settle = reference_run(cfg, pe_cfg)
+    for steps in block_steps(cfg, settle):
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", steps * cfg.n_vehicles)
+        assert run_sim(cfg, pe_cfg) == (rows, report), steps
+        run = SimRun(cfg, pe_cfg)
+        for _ in run:
+            pass
+        assert run.saturated_updates == saturated, steps
+
+
+def test_stepping_stops_at_the_settled_step(monkeypatch):
+    cfg = BLOCK_CASES["spacing-12.345"]
+    settle = reference_run(cfg, PeArrayConfig(num_pes=2))[3]
+    calls = []
+    real = sim.step_sim
+    monkeypatch.setattr(sim, "step_sim", lambda *args: calls.append(1) or real(*args))
+    for steps in block_steps(cfg, settle):
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", steps * cfg.n_vehicles)
+        calls.clear()
+        for _ in SimRun(cfg):
+            pass
+        assert len(calls) == settle < cfg.n_steps, steps
 
 
 def test_saturated_updates_default_config(capsys, tmp_path):
