@@ -6,13 +6,20 @@ independent integer oracle (must agree bit for bit), and the ideal
 real-arithmetic formula (quantization error shows up here).  The big
 errors cluster at small radicands, where the truncated divide feeds
 the steepest part of the square root and the a*T gain scales it up.
+
+``run_sweep`` writes the per-case CSV to the file it is given, one
+write per (a, T, V*) block; this demo shows only the summary, so the
+rows go to os.devnull.
 """
+
+import os
 
 from gippsim.fxp import decode
 from gippsim.gipps import gipps_reference, gipps_step
 from gippsim.sweep import grid_blocks, grid_cases, run_sweep
 
-summary = run_sweep(grid_blocks(vstars=(5.0, 20.0, 70.0)))
+with open(os.devnull, "w") as devnull:
+    summary = run_sweep(grid_blocks(vstars=(5.0, 20.0, 70.0)), devnull)
 
 print("sweep of a compact grid (3 desired speeds x 4 accels x 3 times):")
 for line in summary.lines():

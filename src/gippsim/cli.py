@@ -128,7 +128,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     blocks = grid_blocks(args.vstars, args.accels, args.times,
                          v_equals_vstar=args.v_equals_vstar)
     with _replacing(args.out) as fh:
-        summary = run_sweep(blocks, row_sink=fh.write)
+        summary = run_sweep(blocks, fh)
     for line in summary.lines():
         print(line)
     for line in summary.mismatch_report:

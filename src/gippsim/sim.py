@@ -79,8 +79,9 @@ class SimConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.n_vehicles < 1:
             raise ConfigError("n_vehicles must be >= 1")
-        if self.initial_spacing_m < 0.0:
-            raise ConfigError("initial_spacing_m must be >= 0")
+        lead = (self.n_vehicles - 1) * self.initial_spacing_m     # the leader's start
+        if not (self.initial_spacing_m >= 0.0 and np.isfinite(lead)):     # 0 * inf is nan
+            raise ConfigError("initial_spacing_m must be >= 0 and (n_vehicles - 1) * it finite")
         for lo, hi, what in (
             (self.min_desired_speed, self.max_desired_speed, "desired speed"),
             (self.min_accel, self.max_accel, "acceleration"),

@@ -9,14 +9,14 @@ quantization pulls it from the real-arithmetic update.
 The grid is evaluated one (a, T, V*) block at a time: every velocity
 of a block goes through the array datapath, the oracle's array form
 and the ideal at once, as int64 and float64 arrays.  Nothing holds the
-whole grid; rows go to the sink one by one as each block is done.
+whole grid; each block's rows are written at once, from one %-template.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -144,26 +144,22 @@ def _mismatch_report(ops: GippsOperands, words: list[tuple[str, int]],
     ]
 
 
-def run_sweep(
-    blocks: Iterable[Block],
-    row_sink: Callable[[str], None] | None = None,
-) -> SweepSummary:
-    """Evaluate each block three ways and fold the results into a summary.
+def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
+    """Evaluate each block three ways, write it to ``fh`` and fold the
+    results into a summary.
 
     Every case runs through the array datapath, the independent integer
     oracle's array form (bit-equality check on va and cycles), and the
-    ideal update.  ``row_sink``, when provided, receives the header line
-    and then one newline-terminated CSV row per case, in block order; a
-    file object's ``write`` works directly.  The bytes and the summary
-    are those of evaluating one case at a time: the same words, the same
-    IEEE operations, and the mean of the errors summed in case order.
+    ideal update.  ``fh`` gets the header, then each block's CSV rows in
+    one write from one %-template.  The bytes and the summary are those
+    of evaluating one case at a time: the same words, the same IEEE
+    operations, and the mean of the errors summed in case order.
     """
     summary = SweepSummary()
     hist: Counter[int] = Counter()
     err_total = 0.0
-    if row_sink is not None:
-        row_sink(CSV_HEADER + "\n")
-        text = word_texts()
+    text = word_texts()
+    fh.write(CSV_HEADER + "\n")
     for a, T, vstar, v in blocks:
         res = gipps_batch(a.raw, T.raw, vstar.raw, v)
         ref = block_oracle(a.raw, T.raw, vstar.raw, v)
@@ -176,18 +172,20 @@ def run_sweep(
                     GippsOperands(a, T, vstar, Fx(int(v[i]))),
                     res.case_words(i), ref.case_words(i))
         ideal = gipps_reference_block(decode(a), decode(T), decode(vstar), v / SCALE)
-        errs = np.abs(res.va / SCALE - ideal).tolist()
-        for err in errs:        # one at a time: sum() and np.sum reorder the adds
-            err_total += err
-        summary.max_abs_err = max(summary.max_abs_err, max(errs, default=0.0))
+        errs = np.abs(res.va / SCALE - ideal)
+        err_total = float(np.add.accumulate(np.append(err_total, errs))[-1])   # in case order
+        summary.max_abs_err = float(errs.max(initial=summary.max_abs_err))
         for c, n in zip(*np.unique(res.cycles, return_counts=True)):
             hist[int(c)] += int(n)
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
-        summary.cases += len(errs)
-        if row_sink is not None:
-            prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},"
-            for vr, var, x, err in zip(v.tolist(), res.va.tolist(), ideal.tolist(), errs):
-                row_sink(f"{prefix}{text[vr]},{text[var]},{x:.9f},{err:.9f}\n")
+        summary.cases += len(v)
+        args: list = [None] * (4 * len(v))
+        args[0::4] = [text[x] for x in v.tolist()]
+        args[1::4] = [text[x] for x in res.va.tolist()]
+        args[2::4] = ideal.tolist()
+        args[3::4] = errs.tolist()
+        row = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},%s,%s,%.9f,%.9f\n"
+        fh.write(row * len(v) % tuple(args))
     summary.cycle_histogram = dict(hist)
     summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0

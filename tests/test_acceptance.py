@@ -6,6 +6,7 @@ the measured grid values plus a 10% margin; the measured numbers are
 asserted not to drift, so a datapath change that moves them fails here.
 """
 
+import io
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ def report(capsys, num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep_summary():
-    return run_sweep(grid_blocks())
+    return run_sweep(grid_blocks(), io.StringIO())
 
 
 def test_criterion_1_quantization_budget(capsys):

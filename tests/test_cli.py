@@ -109,15 +109,20 @@ def test_sweep_bad_axis_keeps_existing_output(capsys, tmp_path, axis):
 def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path):
     real = cli.run_sweep
 
-    def run_sweep(cases, row_sink):
-        written = []
+    class FailingFile:
+        """``fh`` with a write that raises on its fourth call, mid-grid."""
 
-        def sink(line):
-            if len(written) == 100:
+        def __init__(self, fh):
+            self.fh, self.calls = fh, 0
+
+        def write(self, text):
+            self.calls += 1
+            if self.calls == 4:
                 raise KeyboardInterrupt
-            written.append(line)
-            row_sink(line)
-        return real(cases, row_sink=sink)
+            return self.fh.write(text)
+
+    def run_sweep(blocks, fh):
+        return real(blocks, FailingFile(fh))
 
     monkeypatch.setattr(cli, "run_sweep", run_sweep)
     out_csv = tmp_path / "sweep.csv"
@@ -248,6 +253,29 @@ def test_sim_invalid_config_value(capsys, tmp_path):
                            "--out", str(tmp_path / "t.csv"))
     assert code == 1
     assert "n_steps" in err
+
+
+@pytest.mark.parametrize("source", [
+    ("--initial-spacing-m", "nan"),
+    ("--initial-spacing-m", "inf"),
+    ("--n-vehicles", "3", "--initial-spacing-m", "1e308"),    # the leader's start overflows
+    ("--config", "initial_spacing_m = nan\n"),
+    ("--config", "n_vehicles = 1\ninitial_spacing_m = inf\n"),
+], ids=["flag-nan", "flag-inf", "flag-overflow", "file-nan", "file-inf-one-vehicle"])
+def test_sim_non_finite_spacing_keeps_existing_output(capsys, tmp_path, source):
+    argv = list(source)
+    if argv[0] == "--config":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(argv[1], encoding="utf-8")
+        argv[1] = str(cfg)
+    out_csv = tmp_path / "trace.csv"
+    out_csv.write_bytes(b"keep me\n")
+    code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), *argv)
+    assert code == 1
+    assert err.startswith("error: initial_spacing_m must be >= 0 and ")
+    assert out_csv.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["trace.csv"] + (["sim.cfg"] if argv[0] == "--config" else []))
 
 
 def test_bench_reports_modeled_and_host(capsys):

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -353,6 +354,13 @@ def test_config_validation():
         SimConfig(n_vehicles=0)
     with pytest.raises(ConfigError):
         SimConfig(initial_spacing_m=-1.0)
+    for spacing in (math.nan, math.inf, -math.inf):
+        for n in (1, 3):
+            with pytest.raises(ConfigError, match="initial_spacing_m"):
+                SimConfig(n_vehicles=n, initial_spacing_m=spacing)
+    with pytest.raises(ConfigError, match="initial_spacing_m"):
+        SimConfig(n_vehicles=3, initial_spacing_m=1e308)        # 2 * 1e308 is inf
+    assert SimConfig(n_vehicles=3, initial_spacing_m=8e307).initial_spacing_m == 8e307
     with pytest.raises(ConfigError):
         SimConfig(min_desired_speed=30.0, max_desired_speed=20.0)
     with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ copy of the one-case-at-a-time loop it replaced.
 """
 
 import dataclasses
+import io
 import math
 from collections import Counter
 from unittest import mock
@@ -162,12 +163,37 @@ axis_words = st.lists(st.integers(0, RAW_MAX), min_size=1, max_size=2)
 def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
     axes = dict(vstars=[w / 64 for w in vstars], accels=[w / 64 for w in accels],
                 times=[w / 64 for w in times], v_equals_vstar=v_equals_vstar)
-    rows = []
-    summary = run_sweep(grid_blocks(**axes), row_sink=rows.append)
+    fh = io.StringIO()
+    summary = run_sweep(grid_blocks(**axes), fh)
     want_csv, want_lines = per_case_sweep(grid_cases(**axes))
-    assert "".join(rows) == want_csv
+    assert fh.getvalue() == want_csv
     assert summary.lines()[:6] == want_lines
-    assert len(rows) == summary.cases + 1          # one sink call per row
+    assert fh.getvalue().count("\n") == summary.cases + 1
+
+
+class RecordingFile(io.StringIO):
+    """A text file that keeps each ``write`` call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_run_sweep_writes_header_then_one_write_per_block():
+    axes = dict(vstars=(0.5, 1.0, 5.0), accels=(1.0, 200.0), times=(0.25, 1.0))
+    fh = RecordingFile()
+    run_sweep(grid_blocks(**axes), fh)
+    n_blocks = len(list(grid_blocks(**axes)))
+    assert n_blocks == 12
+    assert len(fh.writes) == 1 + n_blocks
+    assert fh.writes[0] == CSV_HEADER + "\n"
+    want = per_case_sweep(grid_cases(**axes))[0]
+    # as lists of lines, so that a failure names the first differing row quickly
+    assert "".join(fh.writes).splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
 def test_grid_cases_flattens_grid_blocks():
@@ -181,7 +207,7 @@ def test_grid_cases_flattens_grid_blocks():
 
 @pytest.fixture(scope="module")
 def default_grid():
-    return run_sweep(grid_blocks())
+    return run_sweep(grid_blocks(), io.StringIO())
 
 
 def test_saturated_cases_counts_clamps(capsys, tmp_path, default_grid):
