@@ -11,15 +11,15 @@ trace realism, not collision dynamics, so gaps are recorded as they
 come (a fast follower behind a slow leader will eventually close its
 gap through zero).
 
-Every update comes from one per-run table (``Tail``) that a single
+Every update comes from one per-run table that a single
 ``gipps.gipps_batch`` call fills: p4 depends only on (a, T, q), T is
 fixed for a run, and q = v / V* is 0..64 raw because v <= V*.  With
 V* = 1.0 (raw 64) the divider gives q = v, so the table's 65 columns
 cover every q a vehicle can reach.  A step runs the datapath's own
 divider and final add on the fleet's velocity array, q = div(v, V*)
-and v = add(v, p4[i, q]), then clamps v at V*.  Every legal update
-takes the same cycles (the sqrt unit takes two passes on each radicand
-2..66), so a run charges one batch report per step.
+and v = add(v, table.p4[i, q]), then clamps v at V*.  Every legal
+update takes the same cycles (the sqrt unit takes two passes on each
+radicand 2..66), so a run charges one batch report per step.
 
 Once a step changes no velocity the state is a fixed point and every
 later step repeats it, so the run stops stepping and repeats the
@@ -29,9 +29,9 @@ in step order, the same IEEE adds as pos = pos + (v / 64) * T at each
 step, so positions keep their bytes even for a spacing that is not a
 multiple of 2**-12.
 
-``SimRun`` is a stream of steps: ``write_trace_csv`` formats each step
-as it comes, so the CLI never holds the trace, and ``run_sim`` collects
-``TraceRow`` objects for library callers.
+``SimRun`` is a stream of blocks of steps: ``write_trace_csv`` writes
+each block as it comes, with one %-template, so the CLI never holds the
+trace; ``run_sim`` collects ``TraceRow`` objects for library callers.
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
 ``SimConfig.seed``; per vehicle, desired speed is drawn first, then
@@ -49,11 +49,11 @@ import numpy as np
 
 from . import fxp
 from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode, word_texts
-from .gipps import GippsOperands, gipps_batch
+from .gipps import GippsBlock, GippsOperands, gipps_batch
 from .pearray import BatchReport, PeArrayConfig, batch_report, dispatch_batch
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
-_BLOCK_ROWS = 1 << 14       # trace rows (steps x vehicles) per block of steps
+_BLOCK_ROWS = 1 << 12       # trace rows (steps x vehicles) per block: its text stays small
 
 
 class ConfigError(ValueError):
@@ -116,16 +116,6 @@ class TraceRow(NamedTuple):
         )
 
 
-class Tail(NamedTuple):
-    """A run's velocity-update table: vehicle i's update at v / V* = q
-    adds ``p4[i, q]``, and a stage before the final add clamped where
-    ``clamped[i, q]``."""
-
-    vstar: np.ndarray       # raw V* per vehicle
-    p4: np.ndarray          # (n, 65)
-    clamped: np.ndarray     # (n, 65)
-
-
 def init_fleet(cfg: SimConfig) -> list[Vehicle]:
     """Per-vehicle constants, drawn from the seed in vehicle order."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -138,9 +128,10 @@ def init_fleet(cfg: SimConfig) -> list[Vehicle]:
 
 
 def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
-               pe_cfg: PeArrayConfig = PeArrayConfig()) -> tuple[Tail, int]:
-    """Check each vehicle's operands once and build the run's table;
-    returns it with the datapath's cycles per update.
+               pe_cfg: PeArrayConfig = PeArrayConfig()) -> tuple[np.ndarray, GippsBlock]:
+    """Check each vehicle's operands once; returns the raw V* per vehicle
+    and the run's table, ``gipps_batch`` over (vehicle i, q = 0..64) at
+    V* = 1.0: the update at v / V* = q adds ``p4[i, q]``.
 
     The check dispatches the fleet's first operand sets, from rest, as one
     batch (v only moves within 0..V* after that); ``dispatch_batch``
@@ -153,11 +144,10 @@ def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
                     for veh in fleet], pe_cfg)
     a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
     vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
-    table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
-    return Tail(vstar, table.p4, table.clamped), int(table.cycles.max())
+    return vstar, gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
 
 
-def step_sim(tail: Tail, vel: np.ndarray) -> tuple[int, bool]:
+def step_sim(vstar: np.ndarray, table: GippsBlock, vel: np.ndarray) -> tuple[int, bool]:
     """Advance vel (int64 raw words) in place by one step.
 
     Returns how many of the step's updates saturated a stage, and
@@ -165,24 +155,25 @@ def step_sim(tail: Tail, vel: np.ndarray) -> tuple[int, bool]:
     every later step repeats this one.
     """
     i = np.arange(len(vel))
-    q, _ = fxp.div(vel, tail.vstar)
-    va, va_clamped = fxp.add(vel, tail.p4[i, q])
-    saturated = int(np.count_nonzero(tail.clamped[i, q] | va_clamped))
-    va = np.minimum(va, tail.vstar)         # clamp host-side
+    q, _ = fxp.div(vel, vstar)
+    va, va_clamped = fxp.add(vel, table.p4[i, q])
+    saturated = int(np.count_nonzero(table.clamped[i, q] | va_clamped))
+    va = np.minimum(va, vstar)              # clamp host-side
     settled = np.array_equal(va, vel)
     vel[:] = va
     return saturated, settled
 
 
 class SimRun:
-    """The workload as a stream of steps.
+    """The workload as a stream of blocks of steps.
 
-    Iterating yields ``(step, vel, pos)`` after each step, numbered from
-    1: int64 raw velocity words and float64 positions, rows of arrays
-    that the run never writes again.  When the stream ends, ``report``
-    sums ops, cycles and modeled time over all steps, and
-    ``saturated_updates`` counts the updates in which a datapath stage
-    clamped.
+    Iterating yields ``(first, vels, pos)`` once per block of k steps,
+    numbered from 1: the (k, n) int64 raw velocity words and float64
+    positions after steps first..first + k - 1, arrays that the run never
+    writes again.  A block holds at most ``_BLOCK_ROWS`` trace rows, or
+    one step.  When the stream ends, ``report`` sums ops, cycles and
+    modeled time over all steps, and ``saturated_updates`` counts the
+    updates in which a datapath stage clamped.
     """
 
     def __init__(self, cfg: SimConfig, pe_cfg: PeArrayConfig = PeArrayConfig()) -> None:
@@ -194,7 +185,7 @@ class SimRun:
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         cfg = self.cfg
         n, n_steps = cfg.n_vehicles, cfg.n_steps
-        tail, per_op = build_tail(init_fleet(cfg), cfg, self.pe_cfg)
+        vstar, table = build_tail(init_fleet(cfg), cfg, self.pe_cfg)
         vel = np.zeros(n, dtype=np.int64)
         pos = np.arange(n - 1, -1, -1) * cfg.initial_spacing_m
         saturated, settled = 0, False
@@ -203,7 +194,7 @@ class SimRun:
             vels = np.empty((min(per_block, n_steps + 1 - first), n), dtype=np.int64)
             k = 0
             while k < len(vels) and not settled:
-                sat, settled = step_sim(tail, vel)
+                sat, settled = step_sim(vstar, table, vel)
                 saturated += sat
                 vels[k] = vel
                 k += 1
@@ -217,7 +208,8 @@ class SimRun:
             block[1:] = vels / SCALE * decode(cfg.step_t)
             block = np.add.accumulate(block, axis=0)
             pos = block[-1]
-            yield from zip(range(first, first + len(vels)), vels, block[1:])
+            yield first, vels, block[1:]
+        per_op = int(table.cycles.max())
         report = batch_report(n, per_op, self.pe_cfg)
         time_ns = 0.0
         for _ in range(n_steps):        # one add per step, in step order
@@ -234,10 +226,11 @@ def run_sim(
     """Run the whole workload; returns the trace rows and ``SimRun.report``."""
     run = SimRun(cfg, pe_cfg)
     rows: list[TraceRow] = []
-    for step, vel, pos in run:
-        n = len(pos)
-        gaps = [None] + (pos[:-1] - pos[1:]).tolist()
-        rows += map(TraceRow, [step] * n, range(n), (vel / SCALE).tolist(), pos.tolist(), gaps)
+    for first, vels, block in run:
+        for step, vel, pos in zip(range(first, first + len(vels)), vels, block):
+            n = len(pos)
+            gaps = [None] + (pos[:-1] - pos[1:]).tolist()
+            rows += map(TraceRow, [step] * n, range(n), (vel / SCALE).tolist(), pos.tolist(), gaps)
     return rows, run.report
 
 
@@ -249,27 +242,28 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
     return buf.getvalue()
 
 
-def write_trace_csv(steps: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
-    """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one step at a time.
+def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
+    """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one block at a time.
 
-    Each step's rows come from one %-template over the fleet, with the
-    velocity column from ``fxp.word_texts``; the bytes are those of
-    ``format_trace`` on the same run's rows.
+    Each block's rows come from one %-template over its steps, with the
+    velocity column from ``fxp.word_texts`` and the leader's gap left
+    empty; the bytes are those of ``format_trace`` on the same run's rows.
     """
     text = word_texts()
     fh.write(TRACE_HEADER + "\n")
-    template = None
-    for step, vel, pos in steps:
-        if template is None:
-            n = len(pos)
-            template = "%d,0,%s,%.6f,%s\n" + "".join(
-                f"%d,{i},%s,%.6f,%.6f\n" for i in range(1, n))
-            args: list = [""] * (4 * n)
-        args[0::4] = [step] * n
-        args[1::4] = [text[v] for v in vel.tolist()]
-        args[2::4] = pos.tolist()
-        args[7::4] = (pos[:-1] - pos[1:]).tolist()
-        fh.write(template % tuple(args))
+    for first, vels, pos in blocks:
+        k, n = vels.shape
+        step_template = "%d,0,%s,%.6f,%s\n" + "".join(
+            f"%d,{i},%s,%.6f,%.6f\n" for i in range(1, n))
+        gaps = np.empty((k, n))
+        gaps[:, 1:] = pos[:, :-1] - pos[:, 1:]
+        args: list = [None] * (4 * k * n)
+        args[0::4] = np.repeat(np.arange(first, first + k), n).tolist()
+        args[1::4] = [text[v] for v in vels.ravel().tolist()]
+        args[2::4] = pos.ravel().tolist()
+        args[3::4] = gaps.ravel().tolist()
+        args[3::4 * n] = [""] * k           # the leader has no gap
+        fh.write(step_template * k % tuple(args))
 
 
 # Every SimConfig field is a config key, with the type its value is

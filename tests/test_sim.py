@@ -1,5 +1,6 @@
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,11 +69,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
-    tail, _ = build_tail(fleet, cfg)
+    vstar, table = build_tail(fleet, cfg)
     vel = np.zeros(1, dtype=np.int64)
     # drive far past saturation
     for _ in range(400):
-        step_sim(tail, vel)
+        step_sim(vstar, table, vel)
     assert vel[0] == fleet[0].desired_speed.raw
 
 
@@ -107,7 +108,7 @@ def test_single_vehicle_exact_sequence():
 def test_positions_integrate_velocity():
     cfg = SimConfig(n_vehicles=3, n_steps=1)
     run = SimRun(cfg, PeArrayConfig(num_pes=2))
-    [(_, vel, pos)] = list(run)
+    [(_, [vel], [pos])] = list(run)
     assert run.report.ops == 3 and run.report.cycles == 8
     for before, after, v in zip([20.0, 10.0, 0.0], pos, vel):
         assert v > 0
@@ -275,9 +276,10 @@ def test_saturated_updates_recount(kw):
     fleet = init_fleet(cfg)
     run = SimRun(cfg)
     before, recount = [0] * cfg.n_vehicles, 0
-    for _, vel, _ in run:
-        recount += scalar_saturated(fleet, cfg, before)
-        before = vel.tolist()
+    for _, vels, _ in run:
+        for vel in vels:
+            recount += scalar_saturated(fleet, cfg, before)
+            before = vel.tolist()
     assert run.saturated_updates == recount > 0
 
 
@@ -323,8 +325,12 @@ def test_any_block_size_gives_the_per_vehicle_run(monkeypatch, cfg):
         monkeypatch.setattr(sim, "_BLOCK_ROWS", steps * cfg.n_vehicles)
         assert run_sim(cfg, pe_cfg) == (rows, report), steps
         run = SimRun(cfg, pe_cfg)
-        for _ in run:
-            pass
+        writes = []
+        write_trace_csv(run, SimpleNamespace(write=writes.append))
+        assert len(writes) == 1 + math.ceil(cfg.n_steps / steps), steps   # header, then blocks
+        # as lists of lines, so that a failure names the first differing row quickly
+        assert "".join(writes).splitlines(keepends=True) == \
+            format_trace(rows).splitlines(keepends=True), steps
         assert run.saturated_updates == saturated, steps
 
 

@@ -166,7 +166,8 @@ def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
     fh = io.StringIO()
     summary = run_sweep(grid_blocks(**axes), fh)
     want_csv, want_lines = per_case_sweep(grid_cases(**axes))
-    assert fh.getvalue() == want_csv
+    # as lists of lines, so that a failure names the first differing row quickly
+    assert fh.getvalue().splitlines(keepends=True) == want_csv.splitlines(keepends=True)
     assert summary.lines()[:6] == want_lines
     assert fh.getvalue().count("\n") == summary.cases + 1
 
