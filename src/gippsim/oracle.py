@@ -67,13 +67,12 @@ def _sqrt_unit_trace(raw: int) -> SqrtTrace:
     return SqrtTrace(raw, x0, tuple(chain[1:]))
 
 
-def _sqrt_passes(raw: int) -> int:
-    return _sqrt_unit_trace(raw).iterations
-
-
-def _floor_root(raw: int) -> int:
-    """Floor square root of a radicand word, kept in Q8.6."""
-    return floor_isqrt(raw * 64)
+# The floor root and the sqrt unit's trace of each radicand word that a
+# legal update makes, 2 + q for q in 0..64, and their int64 forms.
+_ROOTS = tuple(floor_isqrt(r * 64) for r in range(2, 67))
+_TRACES = tuple(_sqrt_unit_trace(r) for r in range(2, 67))
+_ROOT_WORDS = np.array(_ROOTS, dtype=np.int64)
+_PASSES = np.array([trace.iterations for trace in _TRACES], dtype=np.int64)
 
 
 def _clamp(x):
@@ -112,8 +111,8 @@ def pipeline_oracle(ops: GippsOperands) -> GippsResult:
     """Evaluate one update with arbitrary-precision integers."""
     ops.validate()
     a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
-    q, f, r, s, p1, p2, p3, p4, va, _, _ = _stages(a, T, V, v, _floor_root)
-    strace = _sqrt_unit_trace(r)
+    q, f, r, s, p1, p2, p3, p4, va, _, _ = _stages(a, T, V, v, lambda r: _ROOTS[r - 2])
+    strace = _TRACES[r - 2]
     return GippsResult(
         Fx(va), 2 + strace.iterations,
         Fx(q), Fx(f), Fx(r), Fx(s), Fx(p1), Fx(p2), Fx(p3), Fx(p4), strace,
@@ -126,8 +125,6 @@ def block_oracle(a, T, vstar, v) -> GippsBlock:
     radicand word alone, 2 + q with q in 0..64, so both come from one
     table over those 65 words."""
     check_operands(a, T, vstar, v)
-    roots = np.array([_floor_root(x) for x in range(2, 67)], dtype=np.int64)
-    passes = np.array([_sqrt_passes(x) for x in range(2, 67)], dtype=np.int64)
     q, f, r, s, p1, p2, p3, p4, va, over, over_va = _stages(
-        a, T, vstar, v, lambda r: roots[r - 2])
-    return GippsBlock(va, 2 + passes[r - 2], q, f, r, s, p1, p2, p3, p4, over, over_va)
+        a, T, vstar, v, lambda r: _ROOT_WORDS[r - 2])
+    return GippsBlock(va, 2 + _PASSES[r - 2], q, f, r, s, p1, p2, p3, p4, over, over_va)

@@ -8,7 +8,7 @@ once, in batch order, by ``gipps_step``, so results are bit-identical
 whatever the host does for parallelism.  The sim dispatches one batch
 per run, its fleet's operand sets from rest, as the operand check; its
 updates come from a ``gipps_batch`` table of the same datapath, and
-each step is charged ``batch_report``'s cycles.
+each step is charged that batch's report.
 """
 
 from __future__ import annotations
@@ -67,11 +67,6 @@ def dispatch_batch(
         except InvalidOperandsError as exc:
             raise InvalidOperandsError(f"operand {i}: {exc}") from None
     per_op = max((res.cycles for res in results), default=0)
-    return results, batch_report(len(results), per_op, cfg)
-
-
-def batch_report(ops: int, per_op: int, cfg: PeArrayConfig) -> BatchReport:
-    """Modeled latency of ``ops`` updates of ``per_op`` cycles each: the
-    busiest PE, the one that gets ceil(N/P) ops round-robin, sets it."""
-    cycles = -(-ops // cfg.num_pes) * per_op
-    return BatchReport(ops, cycles, cycles * 1e9 / cfg.clock_hz, per_op)
+    # the busiest PE, the one that gets ceil(N/P) ops round-robin, sets the latency
+    cycles = -(-len(results) // cfg.num_pes) * per_op
+    return results, BatchReport(len(results), cycles, cycles * 1e9 / cfg.clock_hz, per_op)

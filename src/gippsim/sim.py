@@ -19,7 +19,8 @@ cover every q a vehicle can reach.  A step runs the datapath's own
 divider and final add on the fleet's velocity array, q = div(v, V*)
 and v = add(v, table.p4[i, q]), then clamps v at V*.  Every legal
 update takes the same cycles (the sqrt unit takes two passes on each
-radicand 2..66), so a run charges one batch report per step.
+radicand 2..66), so the one batch that checks the fleet's operands
+gives every step's report.
 
 Once a step changes no velocity the state is a fixed point and every
 later step repeats it, so the run stops stepping and repeats the
@@ -50,7 +51,7 @@ import numpy as np
 from . import fxp
 from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode, word_texts
 from .gipps import GippsBlock, GippsOperands, gipps_batch
-from .pearray import BatchReport, PeArrayConfig, batch_report, dispatch_batch
+from .pearray import BatchReport, PeArrayConfig, dispatch_batch
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
 _BLOCK_ROWS = 1 << 12       # trace rows (steps x vehicles) per block: its text stays small
@@ -127,26 +128,6 @@ def init_fleet(cfg: SimConfig) -> list[Vehicle]:
     return fleet
 
 
-def build_tail(fleet: Sequence[Vehicle], cfg: SimConfig,
-               pe_cfg: PeArrayConfig = PeArrayConfig()) -> tuple[np.ndarray, GippsBlock]:
-    """Check each vehicle's operands once; returns the raw V* per vehicle
-    and the run's table, ``gipps_batch`` over (vehicle i, q = 0..64) at
-    V* = 1.0: the update at v / V* = q adds ``p4[i, q]``.
-
-    The check dispatches the fleet's first operand sets, from rest, as one
-    batch (v only moves within 0..V* after that); ``dispatch_batch``
-    names the offending vehicle.  Its scalar datapath runs also give
-    perfbench's tracer the Python-bool stage flags that its
-    ``fxp.saturations`` counts, which the table's array flags are not
-    (ROADMAP item 6).
-    """
-    dispatch_batch([GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, ZERO)
-                    for veh in fleet], pe_cfg)
-    a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
-    vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
-    return vstar, gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
-
-
 def step_sim(vstar: np.ndarray, table: GippsBlock, vel: np.ndarray) -> tuple[int, bool]:
     """Advance vel (int64 raw words) in place by one step.
 
@@ -167,25 +148,43 @@ def step_sim(vstar: np.ndarray, table: GippsBlock, vel: np.ndarray) -> tuple[int
 class SimRun:
     """The workload as a stream of blocks of steps.
 
+    Construction draws the fleet and dispatches its first operand sets,
+    from rest, as one batch: that checks each vehicle's operands once
+    (v stays within 0..V* after that), naming a bad vehicle.  It sets
+    ``vstar``, the raw V* per vehicle; ``table``, ``gipps_batch`` over
+    (vehicle i, q = 0..64) at V* = 1.0, so the update at v / V* = q adds
+    ``p4[i, q]``; and ``report``.  Every legal update takes the same
+    cycles, so the batch's report is each step's, and ``report`` sums
+    ops, cycles and modeled time over all steps.
+
     Iterating yields ``(first, vels, pos)`` once per block of k steps,
     numbered from 1: the (k, n) int64 raw velocity words and float64
     positions after steps first..first + k - 1, arrays that the run never
     writes again.  A block holds at most ``_BLOCK_ROWS`` trace rows, or
-    one step.  When the stream ends, ``report`` sums ops, cycles and
-    modeled time over all steps, and ``saturated_updates`` counts the
+    one step.  When the stream ends, ``saturated_updates`` counts the
     updates in which a datapath stage clamped.
     """
 
     def __init__(self, cfg: SimConfig, pe_cfg: PeArrayConfig = PeArrayConfig()) -> None:
         self.cfg = cfg
-        self.pe_cfg = pe_cfg
-        self.report = BatchReport(0, 0, 0.0, 0)
+        fleet = init_fleet(cfg)
+        # The scalar dispatch also gives perfbench's tracer the Python-bool
+        # stage flags that its fxp.saturations counts (ROADMAP item 6).
+        _, step = dispatch_batch([GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, ZERO)
+                                  for veh in fleet], pe_cfg)
+        a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
+        self.vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
+        self.table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
+        time_ns = 0.0
+        for _ in range(cfg.n_steps):        # one add per step, in step order
+            time_ns += step.modeled_time_ns
+        self.report = BatchReport(cfg.n_steps * step.ops, cfg.n_steps * step.cycles,
+                                  time_ns, step.per_op_cycles)
         self.saturated_updates = 0
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         cfg = self.cfg
         n, n_steps = cfg.n_vehicles, cfg.n_steps
-        vstar, table = build_tail(init_fleet(cfg), cfg, self.pe_cfg)
         vel = np.zeros(n, dtype=np.int64)
         pos = np.arange(n - 1, -1, -1) * cfg.initial_spacing_m
         saturated, settled = 0, False
@@ -194,7 +193,7 @@ class SimRun:
             vels = np.empty((min(per_block, n_steps + 1 - first), n), dtype=np.int64)
             k = 0
             while k < len(vels) and not settled:
-                sat, settled = step_sim(vstar, table, vel)
+                sat, settled = step_sim(self.vstar, self.table, vel)
                 saturated += sat
                 vels[k] = vel
                 k += 1
@@ -209,13 +208,6 @@ class SimRun:
             block = np.add.accumulate(block, axis=0)
             pos = block[-1]
             yield first, vels, block[1:]
-        per_op = int(table.cycles.max())
-        report = batch_report(n, per_op, self.pe_cfg)
-        time_ns = 0.0
-        for _ in range(n_steps):        # one add per step, in step order
-            time_ns += report.modeled_time_ns
-        self.report = BatchReport(n_steps * report.ops, n_steps * report.cycles,
-                                  time_ns, per_op)
         self.saturated_updates = saturated
 
 

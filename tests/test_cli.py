@@ -6,9 +6,10 @@ import threading
 
 import pytest
 
-from gippsim import cli
+from gippsim import cli, sim
 from gippsim.cli import build_parser, main
 from gippsim.fxp import Fx
+from gippsim.gipps import InvalidOperandsError
 from gippsim.sim import TRACE_HEADER, SimConfig, load_sim_config
 from gippsim.sweep import CSV_HEADER
 
@@ -146,6 +147,21 @@ def test_sim_failed_write_keeps_existing_output(capsys, monkeypatch, tmp_path):
     assert "disk full" in err
     assert out_csv.read_bytes() == b"keep me\n"
     assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def test_sim_bad_operands_fail_before_output_is_opened(capsys, monkeypatch, tmp_path):
+    def dispatch_batch(batch, pe_cfg):
+        raise InvalidOperandsError("operand 3: velocity raw 9 exceeds desired speed raw 5")
+
+    entered = []
+    real = cli._replacing
+    monkeypatch.setattr(sim, "dispatch_batch", dispatch_batch)
+    monkeypatch.setattr(cli, "_replacing", lambda path: entered.append(path) or real(path))
+    code, _, err = run_cli(capsys, "sim", "--out", str(tmp_path / "trace.csv"), "--n-steps", "2")
+    assert code == 1
+    assert err == "error: operand 3: velocity raw 9 exceeds desired speed raw 5\n"
+    assert entered == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_replaces_symlink_target(capsys, tmp_path):

@@ -51,8 +51,8 @@ def test_quotient_on_all_legal_velocity_pairs():
 def test_sqrt_unit_on_every_radicand_the_update_makes():
     for r in range(2, 67):                 # 2 + q for q in 0..64
         root, trace = fxp.sqrt(r)
-        assert root == oracle._floor_root(r)
-        assert trace == oracle._sqrt_unit_trace(r)
+        assert root == oracle.floor_isqrt(r * 64) == oracle._ROOTS[r - 2]
+        assert trace == oracle._sqrt_unit_trace(r) == oracle._TRACES[r - 2]
         assert trace.iterations == 2
 
 
@@ -64,7 +64,7 @@ def test_tail_on_every_p2_and_q():
     s = np.array([fxp.sqrt(x)[0] for x in r.ravel().tolist()], dtype=np.int64)
     p3, c_3 = fxp.mul(p2, f)
     p4, c_4 = fxp.mul(p3, s[None, :])
-    s_oracle = np.array([oracle._floor_root(x) for x in range(2, 67)], dtype=np.int64)
+    s_oracle = np.array([oracle.floor_isqrt(x * 64) for x in range(2, 67)], dtype=np.int64)
     want, _ = oracle._round_mul(oracle._round_mul(p2, 64 - q)[0], s_oracle[None, :])
     assert np.array_equal(p4, want)
     # so on legal operands only p1, p2 and the final add can clamp

@@ -1,0 +1,39 @@
+"""Every imported name is used in the file that imports it.
+
+No linter runs offline, so this reads each module of the package, the
+tests and the demos with ``ast``: a name bound by an import must appear
+as a name elsewhere in that file.  A ``# noqa`` on the import statement
+exempts it, for an import kept for another module to patch.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path):
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    found = {}
+    for folder in ("src/gippsim", "tests", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            if unused := unused_imports(path):
+                found[str(path.relative_to(ROOT))] = unused
+    assert found == {}

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gippsim.fxp import Fx, encode
+from gippsim.fxp import Fx
 from gippsim.gipps import GippsOperands, InvalidOperandsError, gipps_step
 from gippsim.pearray import (
     DEFAULT_CLOCK_HZ,

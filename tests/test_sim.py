@@ -19,7 +19,6 @@ from gippsim.sim import (
     TRACE_HEADER,
     TraceRow,
     Vehicle,
-    build_tail,
     format_trace,
     init_fleet,
     load_sim_config,
@@ -69,11 +68,11 @@ def test_fleet_is_seed_deterministic():
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
     fleet = init_fleet(cfg)
-    vstar, table = build_tail(fleet, cfg)
+    run = SimRun(cfg)
     vel = np.zeros(1, dtype=np.int64)
     # drive far past saturation
     for _ in range(400):
-        step_sim(vstar, table, vel)
+        step_sim(run.vstar, run.table, vel)
     assert vel[0] == fleet[0].desired_speed.raw
 
 
@@ -189,7 +188,9 @@ def sim_cases(draw):
 @given(sim_cases())
 def test_run_sim_equals_per_vehicle_datapath(case):
     cfg, pe_cfg = case
-    assert run_sim(cfg, pe_cfg) == per_vehicle_sim(cfg, pe_cfg)
+    expected = per_vehicle_sim(cfg, pe_cfg)
+    assert SimRun(cfg, pe_cfg).report == expected[1]     # final before any iteration
+    assert run_sim(cfg, pe_cfg) == expected
 
 
 def test_run_sim_aggregate_report():
@@ -332,6 +333,19 @@ def test_any_block_size_gives_the_per_vehicle_run(monkeypatch, cfg):
         assert "".join(writes).splitlines(keepends=True) == \
             format_trace(rows).splitlines(keepends=True), steps
         assert run.saturated_updates == saturated, steps
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_iterating_a_run_twice_repeats_it(cfg):
+    run = SimRun(cfg)
+    once = list(run)
+    saturated = run.saturated_updates
+    twice = list(run)
+    assert run.saturated_updates == saturated
+    assert [first for first, _, _ in twice] == [first for first, _, _ in once]
+    for (_, vels, pos), (_, vels2, pos2) in zip(once, twice):
+        assert np.array_equal(vels2, vels)
+        assert np.array_equal(pos2, pos)
 
 
 def test_stepping_stops_at_the_settled_step(monkeypatch):
