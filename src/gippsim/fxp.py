@@ -37,6 +37,7 @@ SCALE = 1 << FRAC_BITS          # 64
 RAW_MAX = (1 << 14) - 1         # 16383
 VALUE_MAX = RAW_MAX / SCALE     # 255.984375
 _HALF = SCALE // 2              # rounding increment for ties-up
+_GRID = SCALE * SCALE           # the sim's position increments are multiples of 1 / 4096 m
 
 SQRT_MAX_PASSES = 6
 
@@ -79,14 +80,38 @@ def decode(v: Fx) -> float:
     return v.raw / SCALE
 
 
-def word_texts() -> list[str]:
-    """The ``"%.6f"`` text of every word's value, indexed by raw.
+def word_texts() -> np.ndarray:
+    """The ``"%.6f"`` text of every word's value, an object array indexed by raw.
 
     raw / 64 has at most six decimals, so its text is exactly the integer
     part and one of 64 fractions: much cheaper than 16,384 formats.
     """
-    fractions = [".%06d" % (k * 10**6 // SCALE) for k in range(SCALE)]
-    return [i + f for i in map(str, range((RAW_MAX + 1) // SCALE)) for f in fractions]
+    heads = np.array([str(i) for i in range((RAW_MAX + 1) // SCALE)], dtype=object)
+    return (heads[:, None] + [".%06d" % (k * 10**6 // SCALE) for k in range(SCALE)]).ravel()
+
+
+def grid_fractions() -> np.ndarray:
+    """``"%.6f"`` text from "." of j / 4096: j * 15625 / 64 millionths, ties even."""
+    q, r = np.divmod(np.arange(_GRID) * 15625, 64)
+    q += (r > 32) | ((r == 32) & (q % 2 == 1))
+    return np.array([".%06d" % k for k in q.tolist()], dtype=object)
+
+
+def grid_texts(x: np.ndarray, fractions: np.ndarray) -> tuple[list, list] | None:
+    """``"%.6f"`` texts of float64 ``x`` in C order, as ``heads[i] + tails[i]``.
+
+    If all of x is on the 2**-12 grid, |x| < 2**40, x = ±(I + j / 4096) and
+    j / 4096 has at most 12 decimals: its rounding depends on j alone and
+    never carries into I, so the text is sign, I, ``fractions[j]``.  Else None.
+    """
+    k = x.ravel() * _GRID
+    if not (np.array_equal(np.rint(k), k) and np.all(np.abs(k) < 2.0**52)):
+        return None
+    n = np.abs(k).astype(np.int64)
+    heads = np.where(np.signbit(k), -(n // _GRID), n // _GRID).tolist()
+    for i in np.flatnonzero(np.signbit(k) & (n < _GRID)).tolist():
+        heads[i] = "-0"                 # -0.5 and -0.0 print as "-0.xxxxxx"
+    return heads, fractions[n % _GRID].tolist()
 
 
 def add(x, y):

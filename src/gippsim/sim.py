@@ -27,12 +27,15 @@ later step repeats it, so the run stops stepping and repeats the
 settled velocities.  Positions come from ``np.add.accumulate`` over
 blocks of steps' increments (v / 64) * T: it adds one row at a time,
 in step order, the same IEEE adds as pos = pos + (v / 64) * T at each
-step, so positions keep their bytes even for a spacing that is not a
-multiple of 2**-12.
+step, so positions keep their bytes for any spacing.
 
-``SimRun`` is a stream of blocks of steps: ``write_trace_csv`` writes
-each block as it comes, with one %-template, so the CLI never holds the
-trace; ``run_sim`` collects ``TraceRow`` objects for library callers.
+``SimRun`` is a stream of blocks of steps that ``write_trace_csv``
+writes as they come, so the CLI never holds the trace; ``run_sim``
+collects ``TraceRow``s for library callers.  Increments are
+v * T.raw / 4096, so at a spacing on the 2**-12 grid (10 m, not
+12.345 m) each position and gap is ±(I + j / 4096), whose "%.6f" text
+is I's, then one of 4,096 fraction texts (``fxp.grid_texts``); a block
+off the grid keeps "%.6f".  The bytes are the same either way.
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
 ``SimConfig.seed``; per vehicle, desired speed is drawn first, then
@@ -49,7 +52,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from . import fxp
-from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode, word_texts
+from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode
 from .gipps import GippsBlock, GippsOperands, gipps_batch
 from .pearray import BatchReport, PeArrayConfig, dispatch_batch
 
@@ -237,24 +240,26 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
 def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
     """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one block at a time.
 
-    Each block's rows come from one %-template over its steps, with the
-    velocity column from ``fxp.word_texts`` and the leader's gap left
-    empty; the bytes are those of ``format_trace`` on the same run's rows.
+    Each block's rows come from one %-template over its steps, with texts
+    from ``fxp.word_texts`` and ``fxp.grid_texts`` ("%.6f" off the 2**-12
+    grid); the bytes are those of ``format_trace`` on the same run's rows.
     """
-    text = word_texts()
+    words, fractions = fxp.word_texts(), fxp.grid_fractions()
     fh.write(TRACE_HEADER + "\n")
     for first, vels, pos in blocks:
         k, n = vels.shape
-        step_template = "%d,0,%s,%.6f,%s\n" + "".join(
-            f"%d,{i},%s,%.6f,%.6f\n" for i in range(1, n))
-        gaps = np.empty((k, n))
-        gaps[:, 1:] = pos[:, :-1] - pos[:, 1:]
-        args: list = [None] * (4 * k * n)
-        args[0::4] = np.repeat(np.arange(first, first + k), n).tolist()
-        args[1::4] = [text[v] for v in vels.ravel().tolist()]
-        args[2::4] = pos.ravel().tolist()
-        args[3::4] = gaps.ravel().tolist()
-        args[3::4 * n] = [""] * k           # the leader has no gap
+        values = np.stack([pos, np.zeros_like(pos)])    # the leader's gap 0.0 is never written
+        values[1, :, 1:] = pos[:, :-1] - pos[:, 1:]
+        texts = fxp.grid_texts(values, fractions)
+        heads, tails = texts or (values.ravel().tolist(), [""] * values.size)
+        f = "%s" if texts else "%.6f"                   # a block off the grid keeps "%.6f"
+        step_template = "".join(f"%d,{i},%s,{f}%s,{f if i else '%s'}%s\n" for i in range(n))
+        args: list = [None] * (6 * k * n)
+        args[0::6] = np.repeat(np.arange(first, first + k), n).tolist()
+        args[1::6] = words[vels.ravel()].tolist()
+        args[2::6], args[4::6] = heads[:k * n], heads[k * n:]
+        args[3::6], args[5::6] = tails[:k * n], tails[k * n:]
+        args[4::6 * n] = args[5::6 * n] = [""] * k      # the leader has no gap
         fh.write(step_template * k % tuple(args))
 
 

@@ -180,8 +180,8 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
         summary.cases += len(v)
         args: list = [None] * (4 * len(v))
-        args[0::4] = [text[x] for x in v.tolist()]
-        args[1::4] = [text[x] for x in res.va.tolist()]
+        args[0::4] = text[v].tolist()
+        args[1::4] = text[res.va].tolist()
         args[2::4] = ideal.tolist()
         args[3::4] = errs.tolist()
         row = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},%s,%s,%.9f,%.9f\n"

@@ -61,7 +61,35 @@ def test_decode_encode_roundtrip_exhaustive():
 
 
 def test_word_texts_format_every_word():
-    assert word_texts() == [f"{raw / 64:.6f}" for raw in range(RAW_MAX + 1)]
+    assert word_texts().tolist() == [f"{raw / 64:.6f}" for raw in range(RAW_MAX + 1)]
+
+
+def test_grid_texts_format_every_fraction():
+    fractions = fxp.grid_fractions()
+    j = np.arange(4096)
+    for whole in (0, 1, 255, 2**20, 2**40 - 1):
+        for sign in (1.0, -1.0):
+            x = sign * (whole + j / 4096)
+            heads, tails = fxp.grid_texts(x, fractions)
+            assert tails == fractions.tolist()
+            assert ["%s%s" % ht for ht in zip(heads, tails)] == ["%.6f" % v for v in x.tolist()]
+    # j / 4096 ties at six decimals when j = 32 (mod 64); "%.6f" rounds them half-even
+    assert fractions[32] == ".007812" and fractions[96] == ".023438"
+    assert fxp.grid_texts(np.array([-0.0, -0.5, 0.0]), fractions) == (
+        ["-0", "-0", 0], [".000000", ".500000", ".000000"])
+
+
+@pytest.mark.parametrize("x", [
+    [0.5, 0.1],                         # one element off the grid
+    [12.345, 10.0],
+    [1 / 8192],
+    [2.0**40],                          # on the grid, but too large
+    [-(2.0**40), 1.0],
+    [2.0**45 + 0.5],
+    [math.inf],
+], ids=str)
+def test_grid_texts_leave_off_grid_arrays_to_percent_format(x):
+    assert fxp.grid_texts(np.array(x), fxp.grid_fractions()) is None
 
 
 def test_add_saturates():

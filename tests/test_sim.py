@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 from types import SimpleNamespace
 
@@ -232,6 +233,26 @@ def test_write_trace_csv_roundtrip(tmp_path):
     with open(path, "x", encoding="utf-8", newline="\n") as fh:
         write_trace_csv(SimRun(cfg), fh)
     assert path.read_text(encoding="utf-8") == format_trace(run_sim(cfg)[0])
+
+
+@pytest.mark.parametrize("cfg, block_rows", [
+    # gaps pass through (-1, 0) and print as -0.xxxxxx
+    (SimConfig(n_vehicles=30, n_steps=200, initial_spacing_m=0.25, seed=3,
+               min_desired_speed=1.0, max_desired_speed=60.0), sim._BLOCK_ROWS),
+    # every block reaches past 2**40: the "%.6f" fallback
+    (SimConfig(n_vehicles=3, n_steps=50, initial_spacing_m=2.0**45), sim._BLOCK_ROWS),
+    # the leader passes 2**40 after a few steps: later one-step blocks fall back
+    (SimConfig(n_vehicles=2, n_steps=20, initial_spacing_m=2.0**40 - 2), 2),
+    (SimConfig(n_vehicles=1, n_steps=100), sim._BLOCK_ROWS),
+], ids=["gaps-in-(-1,0)", "spacing-2^45", "crossing-2^40", "one-vehicle"])
+def test_grid_and_fallback_blocks_write_the_rows_bytes(monkeypatch, cfg, block_rows):
+    monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
+    buf = io.StringIO()
+    write_trace_csv(SimRun(cfg), buf)
+    text = buf.getvalue()
+    assert text.splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(keepends=True)
+    if cfg.initial_spacing_m == 0.25:
+        assert text.count(",-0.") > 10
 
 
 @pytest.mark.parametrize("cfg", [
