@@ -10,6 +10,7 @@ import dataclasses
 import io
 import math
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -160,6 +161,7 @@ axis_words = st.lists(st.integers(0, RAW_MAX), min_size=1, max_size=2)
 )
 @example(accels=[12800], times=[64], vstars=[320], v_equals_vstar=False)     # saturating
 @example(accels=[64, 320], times=[32, 64], vstars=[320, 1280], v_equals_vstar=True)
+@example(accels=[16383], times=[16383], vstars=[12800], v_equals_vstar=False)  # ideal > 1000
 def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
     axes = dict(vstars=[w / 64 for w in vstars], accels=[w / 64 for w in accels],
                 times=[w / 64 for w in times], v_equals_vstar=v_equals_vstar)
@@ -195,6 +197,100 @@ def test_run_sweep_writes_header_then_one_write_per_block():
     want = per_case_sweep(grid_cases(**axes))[0]
     # as lists of lines, so that a failure names the first differing row quickly
     assert "".join(fh.writes).splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def test_run_sweep_falls_back_per_block(monkeypatch):
+    """Only a block with an ideal of 1000 or more is written from the template."""
+    axes = dict(vstars=(5.0,), accels=(255.0, 1.0), times=(255.0,))
+    fallbacks = []
+    real = sweep._template_rows
+
+    def counting(*args):
+        fallbacks.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(sweep, "_template_rows", counting)
+    fh = RecordingFile()
+    run_sweep(grid_blocks(**axes), fh)
+    assert fallbacks == ["255.000000,255.000000,5.000000,"]
+    assert len(fh.writes) == 3
+    want = per_case_sweep(grid_cases(**axes))[0]
+    assert "".join(fh.writes).splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def test_default_grid_takes_record_path_in_every_block(monkeypatch, default_grid):
+    def fallback(*args):
+        raise AssertionError(f"block {args[0]!r} fell back to the template")
+
+    monkeypatch.setattr(sweep, "_template_rows", fallback)
+    fh = RecordingFile()
+    assert run_sweep(grid_blocks(), fh).lines() == default_grid.lines()
+    assert len(fh.writes) == 1 + 60
+
+
+def test_record_rows_equal_template_rows_rounding_up_to_1000(monkeypatch):
+    axes = dict(vstars=(0.5, 1.0), accels=(1.0,), times=(0.25,))
+    monkeypatch.setattr(sweep, "gipps_reference_block",
+                        lambda a, t, vstar, v: np.full(len(v), 999.9999999996))
+    got = io.StringIO()
+    run_sweep(grid_blocks(**axes), got)
+    monkeypatch.setattr(sweep, "_nine_decimals", lambda x: None)
+    want = io.StringIO()
+    run_sweep(grid_blocks(**axes), want)
+    assert got.getvalue().splitlines() == want.getvalue().splitlines()
+    assert got.getvalue().count(",1000.000000000,") == 33 + 65
+
+
+def nine_decimal_texts(x):
+    """``_nine_decimals(x)`` as the text it stands for, one string per value."""
+    n = sweep._nine_decimals(np.asarray(x, dtype=np.float64))
+    return ["%d.%09d" % divmod(k, 10**9) for k in n.tolist()]
+
+
+def exact_tie_distance(x):
+    """|frac(x * 10**9) - 1/2| in exact arithmetic."""
+    y = Fraction(x) * 10**9
+    return abs(y - math.floor(y) - Fraction(1, 2))
+
+
+def test_nine_decimals_on_default_grid():
+    for a, t, vstar, v in grid_blocks():
+        ideal = gipps_reference_block(decode(a), decode(t), decode(vstar), v / 64)
+        errs = np.abs(gipps_batch(a.raw, t.raw, vstar.raw, v).va / 64 - ideal)
+        for x in (ideal, errs):
+            assert nine_decimal_texts(x) == ["%.9f" % y for y in x.tolist()]
+
+
+@given(st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=1, max_size=50))
+def test_nine_decimals_on_floats(xs):
+    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
+
+
+def test_nine_decimals_on_exact_ties():
+    ties = np.concatenate([np.arange(1, 1024, 2) / 1024 + m for m in (0, 1, 7, 255, 512, 999)])
+    assert all(exact_tie_distance(x) == 0 for x in ties.tolist())
+    assert nine_decimal_texts(ties) == ["%.9f" % x for x in ties.tolist()]
+
+
+def test_nine_decimals_near_ties():
+    """Floats a few ulps from a tie, where x * 1e9 often rounds onto the tie."""
+    rng = np.random.Generator(np.random.PCG64(22))
+    centres = (rng.integers(0, 10**12, 400) + 0.5) / 1e9
+    xs = np.concatenate([centres] + [np.nextafter(centres, s * np.inf) for s in (-1, 1)])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+    y = xs * 1e9
+    false_ties = [x for x, tie in zip(xs.tolist(), (np.abs(y - np.rint(y)) == 0.5).tolist())
+                  if tie and exact_tie_distance(x) != 0]
+    assert len(false_ties) > 1000
+    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs.tolist()]
+
+
+def test_nine_decimals_ends_and_range():
+    xs = [0.0, 5e-10, 1.5e-9, 999.9999999994, 999.9999999995, np.nextafter(1000.0, 0.0)]
+    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
+    assert nine_decimal_texts(xs)[-1] == "1000.000000000"
+    for bad in (-0.0, -1e-12, 1000.0, np.inf, np.nan):
+        assert sweep._nine_decimals(np.array([1.0, bad])) is None
 
 
 def test_grid_cases_flattens_grid_blocks():
