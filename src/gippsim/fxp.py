@@ -22,10 +22,15 @@ numpy arrays alike: the scalar instruction and its batch form.
 type at the API's edges: ``encode``/``decode``, operands and results.
 
 All operations are pure: same operands, same words, no hidden state.
+
+Both CSV writers turn numbers into text here, exactly as ``"%d"`` and
+``"%.Nf"`` would: ``int_texts``, ``fixed_texts`` and ``word_texts`` give
+bytes fields, and ``join_rows`` lays them side by side as rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,7 +42,6 @@ SCALE = 1 << FRAC_BITS          # 64
 RAW_MAX = (1 << 14) - 1         # 16383
 VALUE_MAX = RAW_MAX / SCALE     # 255.984375
 _HALF = SCALE // 2              # rounding increment for ties-up
-_GRID = SCALE * SCALE           # the sim's position increments are multiples of 1 / 4096 m
 
 SQRT_MAX_PASSES = 6
 
@@ -80,38 +84,93 @@ def decode(v: Fx) -> float:
     return v.raw / SCALE
 
 
-def word_texts() -> np.ndarray:
-    """The ``"%.6f"`` text of every word's value, an object array indexed by raw.
+def word_texts(end: str = "") -> np.ndarray:
+    """The ``"%.6f"`` text of every word's value plus ``end``, a bytes array
+    indexed by raw: 256 integer parts by 64 fractions, since raw / 64 has at
+    most six decimals.  A short integer part leaves NULs inside a text."""
+    texts = np.empty(((RAW_MAX + 1) // SCALE, SCALE), [("i", "S3"), ("f", f"S{7 + len(end)}")])
+    texts["i"] = np.arange((RAW_MAX + 1) // SCALE).astype("S3")[:, None]
+    texts["f"] = [".%06d%s" % (k * 10**6 // SCALE, end) for k in range(SCALE)]
+    return texts.ravel().view(f"S{10 + len(end)}")
 
-    raw / 64 has at most six decimals, so its text is exactly the integer
-    part and one of 64 fractions: much cheaper than 16,384 formats.
+
+def decimals(x: np.ndarray, places: int) -> np.ndarray | None:
+    """The int64 round(|x| * 10**places) that ``"%.{places}f"`` prints, or
+    None unless every |x| * 10**places < 2**52 (NaN and inf fail).
+
+    Below 2**52 every k + 1/2 is a double and rounding is monotone, so
+    rint(y), y = fl(|x| * 10**p), is right unless y is itself a tie.  There
+    Dekker's product gives the exact error |x| * 10**p - y (|x| is split at
+    2**27 + 1; 10**p, p <= 9, has at most 21 bits): a positive error rounds
+    up, a negative one down, and zero is a true tie, half-even as in printf.
     """
-    heads = np.array([str(i) for i in range((RAW_MAX + 1) // SCALE)], dtype=object)
-    return (heads[:, None] + [".%06d" % (k * 10**6 // SCALE) for k in range(SCALE)]).ravel()
-
-
-def grid_fractions() -> np.ndarray:
-    """``"%.6f"`` text from "." of j / 4096: j * 15625 / 64 millionths, ties even."""
-    q, r = np.divmod(np.arange(_GRID) * 15625, 64)
-    q += (r > 32) | ((r == 32) & (q % 2 == 1))
-    return np.array([".%06d" % k for k in q.tolist()], dtype=object)
-
-
-def grid_texts(x: np.ndarray, fractions: np.ndarray) -> tuple[list, list] | None:
-    """``"%.6f"`` texts of float64 ``x`` in C order, as ``heads[i] + tails[i]``.
-
-    If all of x is on the 2**-12 grid, |x| < 2**40, x = ±(I + j / 4096) and
-    j / 4096 has at most 12 decimals: its rounding depends on j alone and
-    never carries into I, so the text is sign, I, ``fractions[j]``.  Else None.
-    """
-    k = x.ravel() * _GRID
-    if not (np.array_equal(np.rint(k), k) and np.all(np.abs(k) < 2.0**52)):
+    mag = np.abs(x)
+    scale = 10.0**places
+    y = mag * scale
+    if not np.all(y < 2.0**52):
         return None
-    n = np.abs(k).astype(np.int64)
-    heads = np.where(np.signbit(k), -(n // _GRID), n // _GRID).tolist()
-    for i in np.flatnonzero(np.signbit(k) & (n < _GRID)).tolist():
-        heads[i] = "-0"                 # -0.5 and -0.0 print as "-0.xxxxxx"
-    return heads, fractions[n % _GRID].tolist()
+    n = np.rint(y)
+    tie = np.flatnonzero(np.abs(y - n) == 0.5)
+    if len(tie):
+        m, yt = mag[tie], y[tie]
+        hi = m * 134217729.0
+        hi -= hi - m
+        err = (hi * scale - yt) + (m - hi) * scale
+        n[tie] = np.where(err > 0, yt + 0.5, np.where(err < 0, yt - 0.5, n[tie]))
+    return n.astype(np.int64)
+
+
+@functools.cache
+def _groups(head: str, end: str, leading: bool = False) -> np.ndarray:
+    """head + "%03d" + end of 0..999; if ``leading``, "%d" + end and "-%d" + end
+    at 1000 and 2000 on, blank at 3000.  Items of 4 or 8 bytes copy fastest."""
+    texts = ["%s%03d%s" % (head, i, end) for i in range(1000)]
+    if leading:
+        texts += [f % i + end for f in ("%d", "-%d") for i in range(1000)] + [""]
+    return np.array(texts, dtype="S4" if max(map(len, texts)) <= 4 else "S8")
+
+
+def int_texts(n: np.ndarray, end: str, *, places: int = 0,
+              neg: np.ndarray | bool = False) -> list[np.ndarray]:
+    """``"%d" + end`` texts of int64 n >= 0 as bytes fields of three-digit
+    groups, or with ``places`` (a multiple of 3) those of n / 10**places;
+    "-" leads where ``neg``.  Groups above a text's leading one are blank."""
+    point = places // 3                 # groups k < point hold the decimals
+    top = max(len(str(int(n.max(initial=0)))) - 1, places) // 3
+    sign = 1000 + 1000 * neg if np.any(neg) else 1000     # "%d", or "-%d" where neg
+    fields, rest = [], n
+    for k in range(top, -1, -1):
+        g = rest // 1000**k if k else rest
+        rest = rest - g * 1000**k if k else None
+        if k >= point:      # the integer part: blank above its leading group, "%03d" below
+            lead = sign if k == point else np.where(n < 1000**k, 3000, sign)
+            g = g + (lead if k == top else np.where(n >= 1000**(k + 1), 0, lead))
+        fields.append(_groups("." if k == point - 1 else "", "" if k else end, k >= point)[g])
+    return fields
+
+
+def fixed_texts(x: np.ndarray, places: int, end: str) -> list[np.ndarray]:
+    """``"%.{places}f" + end`` texts of 1-D float64 x as bytes fields: the
+    ``int_texts`` of the ``decimals``, "-" where x's sign bit is set, or one
+    field of per-element ``"%.*f"`` texts where ``decimals`` gives None."""
+    n = decimals(x, places)
+    if n is None:
+        return [_percent_texts(x, places, end)]
+    return int_texts(n, end, places=places, neg=np.signbit(x))
+
+
+def _percent_texts(x: np.ndarray, places: int, end: str) -> np.ndarray:
+    return np.array(["%.*f%s" % (places, v, end) for v in x.tolist()], dtype="S")
+
+
+def join_rows(fields: list) -> bytes:
+    """Rows of the fields side by side, each a bytes array (one text per row)
+    or one bytes constant, with every NUL (numpy's padding) dropped."""
+    rec = np.empty(max(len(f) for f in fields if isinstance(f, np.ndarray)),
+                   [("", np.asarray(f).dtype) for f in fields])
+    for name, f in zip(rec.dtype.names, fields):
+        rec[name] = f
+    return rec.tobytes().translate(None, b"\0")
 
 
 def add(x, y):

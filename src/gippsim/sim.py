@@ -31,11 +31,8 @@ step, so positions keep their bytes for any spacing.
 
 ``SimRun`` is a stream of blocks of steps that ``write_trace_csv``
 writes as they come, so the CLI never holds the trace; ``run_sim``
-collects ``TraceRow``s for library callers.  Increments are
-v * T.raw / 4096, so at a spacing on the 2**-12 grid (10 m, not
-12.345 m) each position and gap is ±(I + j / 4096), whose "%.6f" text
-is I's, then one of 4,096 fraction texts (``fxp.grid_texts``); a block
-off the grid keeps "%.6f".  The bytes are the same either way.
+collects ``TraceRow``s for library callers, and ``format_trace``'s
+f-strings are the byte reference for ``write_trace_csv``.
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
 ``SimConfig.seed``; per vehicle, desired speed is drawn first, then
@@ -240,27 +237,22 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
 def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
     """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one block at a time.
 
-    Each block's rows come from one %-template over its steps, with texts
-    from ``fxp.word_texts`` and ``fxp.grid_texts`` ("%.6f" off the 2**-12
-    grid); the bytes are those of ``format_trace`` on the same run's rows.
+    Each block's rows are one ``fxp.join_rows`` of the ``fxp`` texts of
+    step, vehicle, velocity, position and gap; the bytes are those of
+    ``format_trace`` on the same run's rows.
     """
-    words, fractions = fxp.word_texts(), fxp.grid_fractions()
+    words = fxp.word_texts(",")
     fh.write(TRACE_HEADER + "\n")
     for first, vels, pos in blocks:
         k, n = vels.shape
-        values = np.stack([pos, np.zeros_like(pos)])    # the leader's gap 0.0 is never written
-        values[1, :, 1:] = pos[:, :-1] - pos[:, 1:]
-        texts = fxp.grid_texts(values, fractions)
-        heads, tails = texts or (values.ravel().tolist(), [""] * values.size)
-        f = "%s" if texts else "%.6f"                   # a block off the grid keeps "%.6f"
-        step_template = "".join(f"%d,{i},%s,{f}%s,{f if i else '%s'}%s\n" for i in range(n))
-        args: list = [None] * (6 * k * n)
-        args[0::6] = np.repeat(np.arange(first, first + k), n).tolist()
-        args[1::6] = words[vels.ravel()].tolist()
-        args[2::6], args[4::6] = heads[:k * n], heads[k * n:]
-        args[3::6], args[5::6] = tails[:k * n], tails[k * n:]
-        args[4::6 * n] = args[5::6 * n] = [""] * k      # the leader has no gap
-        fh.write(step_template * k % tuple(args))
+        gap_fields = fxp.fixed_texts((np.roll(pos, 1, axis=1) - pos).ravel(), 6, "\n")
+        for f in gap_fields:
+            f[::n] = b""                # the leader has no gap: blank its wrapped one
+        gap_fields[-1][::n] = b"\n"
+        fh.write(fxp.join_rows(fxp.int_texts(np.repeat(np.arange(first, first + k), n), ",")
+                               + fxp.int_texts(np.tile(np.arange(n), k), ",")
+                               + [words[vels.ravel()]]
+                               + fxp.fixed_texts(pos.ravel(), 6, ",") + gap_fields).decode("ascii"))
 
 
 # Every SimConfig field is a config key, with the type its value is

@@ -9,8 +9,8 @@ quantization pulls it from the real-arithmetic update.
 The grid is evaluated one (a, T, V*) block at a time: every velocity
 of a block goes through the array datapath, the oracle's array form
 and the ideal at once, as int64 and float64 arrays.  Nothing holds the
-whole grid; each block's rows are built as one numpy record array and
-written at once (from a %-template if an ideal or error is not in [0, 1000)).
+whole grid; each block's rows are built as one numpy record array of
+``fxp`` texts and written at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .fxp import SCALE, ZERO, Fx, decode, encode, word_texts
+from .fxp import SCALE, ZERO, Fx, decode, encode, fixed_texts, join_rows, word_texts
 from .gipps import (
     GippsOperands,
     GippsResult,
@@ -40,9 +40,6 @@ CSV_HEADER = "a,T,vstar,v,va_fixed,va_ideal,abs_err"
 
 # One block: a, T and V* words, and an int64 array of raw velocities.
 Block = tuple[Fx, Fx, Fx, np.ndarray]
-
-# Record fields of a %.9f value: "I.", three digit groups, the last + "," or "\n".
-_DECIMAL_FIELDS = ("S5", "S3", "S3", "S4")
 
 
 def grid_blocks(
@@ -148,34 +145,6 @@ def _mismatch_report(ops: GippsOperands, words: list[tuple[str, int]],
     ]
 
 
-def _nine_decimals(x: np.ndarray) -> np.ndarray | None:
-    """``"%.9f" % x`` as the int64 x * 10**9 it prints, or None unless 0 <= x < 1000.
-
-    Below 1000, y = fl(x * 1e9) < 2**40, where every k + 1/2 is a double.
-    Rounding is monotone, so y is on the same side of each k + 1/2 as the
-    exact x * 10**9, and rint(y) is its half-even rounding unless y is
-    itself a tie; those few fields are formatted and read back.
-    """
-    if not np.all((x < 1000) & ~np.signbit(x)):         # NaN fails too
-        return None
-    y = x * 1e9
-    n = np.rint(y)
-    for i in np.flatnonzero(np.abs(y - n) == 0.5).tolist():
-        n[i] = int(("%.9f" % x[i]).replace(".", ""))
-    return n.astype(np.int64)
-
-
-def _template_rows(prefix: str, v_words: np.ndarray, va_words: np.ndarray,
-                   ideal: np.ndarray, errs: np.ndarray) -> str:
-    """A block's rows from one %-template, for any ideal and error."""
-    args: list = [None] * (4 * len(ideal))
-    args[0::4] = v_words.astype(str).tolist()
-    args[1::4] = va_words.astype(str).tolist()
-    args[2::4] = ideal.tolist()
-    args[3::4] = errs.tolist()
-    return (prefix + "%s,%s,%.9f,%.9f\n") * len(ideal) % tuple(args)
-
-
 def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
     """Evaluate each block three ways, write it to ``fh`` and fold the
     results into a summary.
@@ -183,22 +152,15 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
     Every case runs through the array datapath, the independent integer
     oracle's array form (bit-equality check on va and cycles), and the
     ideal update.  ``fh`` gets the header, then each block's CSV rows in
-    one write.  A row is one record of bytes fields: the a,T,V* prefix,
-    the ``word_texts`` of v and va, and per ``%.9f`` value (exact digits
-    from ``_nine_decimals``) its "I." and three 3-digit groups, gathered
-    from tables built per call; numpy's NUL padding is then dropped.  A
-    block with an ideal or error outside [0, 1000) uses ``_template_rows``.
-    The bytes and the summary are those of evaluating one case at a time:
-    the same words, the same IEEE operations, and the mean of the errors
-    summed in case order.
+    one write: the a,T,V* prefix, the ``word_texts`` of v and va and the
+    ``fixed_texts`` of the ideals and errors.  The bytes and the summary
+    are those of evaluating one case at a time: the same words, the same
+    IEEE operations, and the mean of the errors summed in case order.
     """
     summary = SweepSummary()
     hist: Counter[int] = Counter()
     err_total = 0.0
-    words = word_texts().astype("S10")
-    heads = np.array(["%d." % i for i in range(1001)], dtype="S5")
-    groups = np.array(["%03d" % i for i in range(1000)], dtype="S3")
-    tails = [np.array(["%03d%s" % (i, end) for i in range(1000)], dtype="S4") for end in ",\n"]
+    words = word_texts(",")
     fh.write(CSV_HEADER + "\n")
     for a, T, vstar, v in blocks:
         res = gipps_batch(a.raw, T.raw, vstar.raw, v)
@@ -219,23 +181,9 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
             hist[int(c)] += int(n)
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
         summary.cases += len(v)
-        prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},"
-        cols = [_nine_decimals(x) for x in (ideal, errs)]
-        if cols[0] is None or cols[1] is None:
-            fh.write(_template_rows(prefix, words[v], words[res.va], ideal, errs))
-            continue
-        rec = np.empty(len(v), [("pre", f"S{len(prefix)}"), ("v", "S10"), ("sep1", "S1"),
-                                ("va", "S10"), ("sep2", "S1")]
-                       + [(c + str(k), w) for c in "ie" for k, w in enumerate(_DECIMAL_FIELDS)])
-        rec["pre"], rec["v"], rec["va"] = prefix, words[v], words[res.va]
-        rec["sep1"] = rec["sep2"] = b","
-        for c, n, last in zip("ie", cols, tails):
-            frac = n % 10**9
-            rec[c + "0"] = heads[n // 10**9]
-            rec[c + "1"] = groups[frac // 10**6]
-            rec[c + "2"] = groups[frac // 1000 % 1000]
-            rec[c + "3"] = last[frac % 1000]
-        fh.write(rec.tobytes().translate(None, b"\0").decode("ascii"))
+        prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},".encode()
+        fh.write(join_rows([prefix, words[v], words[res.va]] + fixed_texts(ideal, 9, ",")
+                           + fixed_texts(errs, 9, "\n")).decode("ascii"))
     summary.cycle_histogram = dict(hist)
     summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0

@@ -4,9 +4,15 @@ No linter runs offline, so this reads each module of the package, the
 tests and the demos with ``ast``: a name bound by an import must appear
 as a name elsewhere in that file.  A ``# noqa`` on the import statement
 exempts it, for an import kept for another module to patch.
+
+Importing the CLI also builds no digit table of ``fxp``'s text path:
+they are built on first use, so start-up does not pay for them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +43,11 @@ def test_every_imported_name_is_used():
             if unused := unused_imports(path):
                 found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_import_builds_no_digit_tables():
+    code = "import gippsim.cli; from gippsim import fxp; print(fxp._groups.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout == "0\n"

@@ -256,6 +256,37 @@ def test_grid_and_fallback_blocks_write_the_rows_bytes(monkeypatch, cfg, block_r
 
 
 @pytest.mark.parametrize("cfg", [
+    SimConfig(n_vehicles=100, n_steps=500),         # the benchmark's sim_platoon shape
+    SimConfig(n_vehicles=4, n_steps=12_500),        # and its sim_narrow shape
+    SimConfig(n_vehicles=30, n_steps=200, initial_spacing_m=0.25, seed=3,
+              min_desired_speed=1.0, max_desired_speed=60.0),
+], ids=["platoon", "narrow", "gaps-in-(-1,0)"])
+def test_benchmark_shapes_never_fall_back_to_per_element_texts(monkeypatch, cfg):
+    def fallback(x, places, end):
+        raise AssertionError(f"{len(x)} values fell back to per-element %.{places}f")
+
+    monkeypatch.setattr(fxp, "_percent_texts", fallback)
+    buf = io.StringIO()
+    write_trace_csv(SimRun(cfg), buf)
+    # as lists of lines, so that a failure names the first differing row quickly
+    assert buf.getvalue().splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(
+        keepends=True)
+
+
+def test_spacing_2_45_falls_back_per_column(monkeypatch):
+    calls = []
+    real = fxp._percent_texts
+    monkeypatch.setattr(fxp, "_percent_texts",
+                        lambda x, *rest: calls.append(rest) or real(x, *rest))
+    cfg = SimConfig(n_vehicles=3, n_steps=50, initial_spacing_m=2.0**45)
+    buf = io.StringIO()
+    write_trace_csv(SimRun(cfg), buf)
+    assert buf.getvalue().splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(
+        keepends=True)
+    assert calls == [(6, "\n"), (6, ",")]       # gaps and positions of the one block
+
+
+@pytest.mark.parametrize("cfg", [
     # far past the step where velocities settle, spacing not a multiple of 2^-12
     SimConfig(n_vehicles=3, n_steps=3000, initial_spacing_m=10.1, seed=5),
     # ... and one where pos + k * inc would round differently from k adds

@@ -199,42 +199,51 @@ def test_run_sweep_writes_header_then_one_write_per_block():
     assert "".join(fh.writes).splitlines(keepends=True) == want.splitlines(keepends=True)
 
 
+def no_percent_texts(x, places, end):
+    raise AssertionError(f"{len(x)} values fell back to per-element %.{places}f")
+
+
 def test_run_sweep_falls_back_per_block(monkeypatch):
-    """Only a block with an ideal of 1000 or more is written from the template."""
+    """Only the columns of a block with ideals and errors past 2**52 / 10**9
+    are written from per-element "%.9f" texts."""
     axes = dict(vstars=(5.0,), accels=(255.0, 1.0), times=(255.0,))
+    real_ideal, real_texts = sweep.gipps_reference_block, fxp._percent_texts
     fallbacks = []
-    real = sweep._template_rows
 
-    def counting(*args):
-        fallbacks.append(args[0])
-        return real(*args)
+    def counting(x, places, end):
+        fallbacks.append((len(x), places, end))
+        return real_texts(x, places, end)
 
-    monkeypatch.setattr(sweep, "_template_rows", counting)
+    monkeypatch.setattr(sweep, "gipps_reference_block",
+                        lambda a, *rest: real_ideal(a, *rest) * (1e7 if a == 255 else 1))
+    monkeypatch.setattr(fxp, "_percent_texts", counting)
     fh = RecordingFile()
     run_sweep(grid_blocks(**axes), fh)
-    assert fallbacks == ["255.000000,255.000000,5.000000,"]
+    assert fallbacks == [(321, 9, ","), (321, 9, "\n")]
     assert len(fh.writes) == 3
-    want = per_case_sweep(grid_cases(**axes))[0]
-    assert "".join(fh.writes).splitlines(keepends=True) == want.splitlines(keepends=True)
+    rows = [line.split(",") for line in "".join(fh.writes).splitlines()[1:]]
+    ideals = [real_ideal(*map(float, (a, t, vs, v))) * (1e7 if a == "255.000000" else 1)
+              for a, t, vs, v, *_ in rows]
+    assert [r[5] for r in rows] == ["%.9f" % x for x in ideals]
+    assert all(r[6] == "%.9f" % abs(float(r[4]) - x) for r, x in zip(rows, ideals))
 
 
 def test_default_grid_takes_record_path_in_every_block(monkeypatch, default_grid):
-    def fallback(*args):
-        raise AssertionError(f"block {args[0]!r} fell back to the template")
-
-    monkeypatch.setattr(sweep, "_template_rows", fallback)
+    monkeypatch.setattr(fxp, "_percent_texts", no_percent_texts)
     fh = RecordingFile()
     assert run_sweep(grid_blocks(), fh).lines() == default_grid.lines()
     assert len(fh.writes) == 1 + 60
 
 
 def test_record_rows_equal_template_rows_rounding_up_to_1000(monkeypatch):
+    """The exact path against per-element "%.9f" (``decimals`` made to give
+    None), on ideals that round up to 1000."""
     axes = dict(vstars=(0.5, 1.0), accels=(1.0,), times=(0.25,))
     monkeypatch.setattr(sweep, "gipps_reference_block",
                         lambda a, t, vstar, v: np.full(len(v), 999.9999999996))
     got = io.StringIO()
     run_sweep(grid_blocks(**axes), got)
-    monkeypatch.setattr(sweep, "_nine_decimals", lambda x: None)
+    monkeypatch.setattr(fxp, "decimals", lambda x, places: None)
     want = io.StringIO()
     run_sweep(grid_blocks(**axes), want)
     assert got.getvalue().splitlines() == want.getvalue().splitlines()
@@ -242,14 +251,15 @@ def test_record_rows_equal_template_rows_rounding_up_to_1000(monkeypatch):
 
 
 def nine_decimal_texts(x):
-    """``_nine_decimals(x)`` as the text it stands for, one string per value."""
-    n = sweep._nine_decimals(np.asarray(x, dtype=np.float64))
-    return ["%d.%09d" % divmod(k, 10**9) for k in n.tolist()]
+    """``decimals(x, 9)`` as the text it stands for, one string per value."""
+    x = np.asarray(x, dtype=np.float64)
+    return ["-" * s + "%d.%09d" % divmod(k, 10**9)
+            for s, k in zip(np.signbit(x).tolist(), fxp.decimals(x, 9).tolist())]
 
 
 def exact_tie_distance(x):
-    """|frac(x * 10**9) - 1/2| in exact arithmetic."""
-    y = Fraction(x) * 10**9
+    """|frac(|x| * 10**9) - 1/2| in exact arithmetic."""
+    y = Fraction(abs(x)) * 10**9
     return abs(y - math.floor(y) - Fraction(1, 2))
 
 
@@ -270,6 +280,7 @@ def test_nine_decimals_on_exact_ties():
     ties = np.concatenate([np.arange(1, 1024, 2) / 1024 + m for m in (0, 1, 7, 255, 512, 999)])
     assert all(exact_tie_distance(x) == 0 for x in ties.tolist())
     assert nine_decimal_texts(ties) == ["%.9f" % x for x in ties.tolist()]
+    assert nine_decimal_texts(-ties) == ["%.9f" % x for x in (-ties).tolist()]
 
 
 def test_nine_decimals_near_ties():
@@ -286,11 +297,12 @@ def test_nine_decimals_near_ties():
 
 
 def test_nine_decimals_ends_and_range():
-    xs = [0.0, 5e-10, 1.5e-9, 999.9999999994, 999.9999999995, np.nextafter(1000.0, 0.0)]
+    xs = [0.0, 5e-10, 1.5e-9, 999.9999999994, 999.9999999995, np.nextafter(1000.0, 0.0),
+          1000.0, -0.0, -1e-12, -2.5e-9, np.nextafter(2.0**52 / 1e9, 0.0)]
     assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
-    assert nine_decimal_texts(xs)[-1] == "1000.000000000"
-    for bad in (-0.0, -1e-12, 1000.0, np.inf, np.nan):
-        assert sweep._nine_decimals(np.array([1.0, bad])) is None
+    assert nine_decimal_texts(xs)[5] == "1000.000000000"
+    for bad in (2.0**52 / 1e9, -(2.0**52) / 1e9, np.inf, np.nan):
+        assert fxp.decimals(np.array([1.0, bad]), 9) is None
 
 
 def test_grid_cases_flattens_grid_blocks():
