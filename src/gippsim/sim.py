@@ -1,9 +1,9 @@
 """Synthetic single-lane traffic workload driving the PE array.
 
-The fleet is two per-vehicle constants (desired speed, maximum
-acceleration) plus two state arrays that a ``SimRun`` owns: int64 raw
-Q8.6 velocity words, all starting at rest, and float64 positions,
-starting at fixed spacing with the leader at index 0.  Each step
+The fleet is two int64 arrays of per-vehicle raw Q8.6 constants
+(desired speed, maximum acceleration) plus two state arrays that a
+``SimRun`` owns: velocity words, all starting at rest, and float64
+positions, starting at fixed spacing with the leader at index 0.  Each step
 applies one velocity update per vehicle, clamps the new velocity at the
 vehicle's desired speed and advances its position by velocity * T.
 Vehicles never interact: the point of the workload is throughput and
@@ -35,9 +35,9 @@ collects ``TraceRow``s for library callers, and ``format_trace``'s
 f-strings are the byte reference for ``write_trace_csv``.
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
-``SimConfig.seed``; per vehicle, desired speed is drawn first, then
-acceleration, both uniform over the configured ranges.  Same seed,
-same fleet, bit for bit.
+``SimConfig.seed``: ``init_fleet`` takes one (n, 2) uniform draw, so per
+vehicle desired speed comes first, then acceleration, each uniform over
+its configured range.  Same seed, same fleet, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,11 +97,6 @@ class SimConfig:
             raise ConfigError("min_desired_speed quantizes to zero")
 
 
-class Vehicle(NamedTuple):
-    desired_speed: Fx
-    max_accel: Fx
-
-
 class TraceRow(NamedTuple):
     step: int
     vehicle_id: int
@@ -117,15 +112,15 @@ class TraceRow(NamedTuple):
         )
 
 
-def init_fleet(cfg: SimConfig) -> list[Vehicle]:
-    """Per-vehicle constants, drawn from the seed in vehicle order."""
+def init_fleet(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 raw V* and a words per vehicle, from one draw of the seed's
+    stream: row i is vehicle i's desired speed, then its acceleration."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    fleet = []
-    for _ in range(cfg.n_vehicles):
-        desired = encode(float(rng.uniform(cfg.min_desired_speed, cfg.max_desired_speed)))
-        accel = encode(float(rng.uniform(cfg.min_accel, cfg.max_accel)))
-        fleet.append(Vehicle(desired, accel))
-    return fleet
+    x = rng.uniform((cfg.min_desired_speed, cfg.min_accel),
+                    (cfg.max_desired_speed, cfg.max_accel), (cfg.n_vehicles, 2))
+    vstar, accel = np.array([encode(v).raw for v in x.ravel().tolist()],
+                            dtype=np.int64).reshape(-1, 2).T.copy()
+    return vstar, accel
 
 
 def step_sim(vstar: np.ndarray, table: GippsBlock, vel: np.ndarray) -> tuple[int, bool]:
@@ -167,13 +162,11 @@ class SimRun:
 
     def __init__(self, cfg: SimConfig, pe_cfg: PeArrayConfig = PeArrayConfig()) -> None:
         self.cfg = cfg
-        fleet = init_fleet(cfg)
+        self.vstar, a = init_fleet(cfg)
         # The scalar dispatch also gives perfbench's tracer the Python-bool
         # stage flags that its fxp.saturations counts (ROADMAP item 6).
-        _, step = dispatch_batch([GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, ZERO)
-                                  for veh in fleet], pe_cfg)
-        a = np.array([veh.max_accel.raw for veh in fleet], dtype=np.int64)
-        self.vstar = np.array([veh.desired_speed.raw for veh in fleet], dtype=np.int64)
+        _, step = dispatch_batch([GippsOperands(Fx(ai), cfg.step_t, Fx(vi), ZERO)
+                                  for ai, vi in zip(a.tolist(), self.vstar.tolist())], pe_cfg)
         self.table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
         time_ns = 0.0
         for _ in range(cfg.n_steps):        # one add per step, in step order

@@ -116,7 +116,7 @@ def test_criterion_8_simulation_properties(capsys):
     bad = 0
     for seed in range(20):
         cfg = SimConfig(n_vehicles=100, n_steps=500, seed=seed)
-        desired = [decode(v.desired_speed) for v in init_fleet(cfg)]
+        desired = [decode(Fx(raw)) for raw in init_fleet(cfg)[0].tolist()]
         rows, _ = run_sim(cfg)
         series = [[] for _ in range(cfg.n_vehicles)]
         for row in rows:

@@ -1,0 +1,55 @@
+"""README's fenced ``$ gippsim ...`` examples, run through ``cli.main``.
+
+Each example must exit 0 and print the lines README quotes under it, in
+order: a quoted ``...`` stands for any run of lines, and the host-bound
+fields of ``bench`` are skipped by name, in the quote and the output.
+An example that quotes no output only has to exit 0.  Outputs named by
+``--out`` land in a temporary directory.
+"""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from gippsim.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+HOST_BOUND = {"bench": {"host", "host_ns_per_op", "modeled_ratio"}}
+
+
+def readme_examples():
+    """(argv, quoted lines) for each ``$ gippsim`` line in a fenced block,
+    named by its subcommand."""
+    examples = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        quoted = None
+        for line in block.splitlines():
+            if line.startswith("$ gippsim "):
+                quoted = []
+                argv = shlex.split(line)[2:]
+                examples.append(pytest.param(argv, quoted, id=argv[0]))
+            elif quoted is not None:
+                quoted.append(line)
+    return examples
+
+
+def test_readme_has_an_example_per_subcommand():
+    assert {ex.id for ex in readme_examples()} == {"bench", "sim", "sqrt", "step", "sweep"}
+
+
+@pytest.mark.parametrize("argv, quoted", readme_examples())
+def test_readme_example(capsys, monkeypatch, tmp_path, argv, quoted):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if not quoted:
+        return
+    skip = HOST_BOUND.get(argv[0], set())
+    quoted, printed = ([line for line in lines if line.partition(": ")[0] not in skip]
+                       for lines in (quoted, printed))
+    pattern = "".join(r"(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                      for line in quoted)
+    assert re.fullmatch(pattern, "".join(line + "\n" for line in printed)), \
+        f"README quotes {quoted}, gippsim printed {printed}"

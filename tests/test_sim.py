@@ -19,7 +19,6 @@ from gippsim.sim import (
     SimRun,
     TRACE_HEADER,
     TraceRow,
-    Vehicle,
     format_trace,
     init_fleet,
     load_sim_config,
@@ -42,39 +41,67 @@ def single_vehicle_cfg(**kw):
 
 def test_fleet_layout():
     cfg = SimConfig(n_vehicles=4, n_steps=1, initial_spacing_m=7.5)
-    fleet = init_fleet(cfg)
-    assert Vehicle._fields == ("desired_speed", "max_accel")
+    vstar, accel = init_fleet(cfg)
+    # desired speed, then acceleration: V* = 20.0 is raw 1280, a = 2.0 raw 128
+    assert [w.tolist() for w in init_fleet(single_vehicle_cfg(n_vehicles=4))] == \
+        [[1280] * 4, [128] * 4]
     rows, _ = run_sim(cfg)
     assert [r.vehicle_id for r in rows] == [0, 1, 2, 3]
     # rows hold post-step state: undo the one position update
     dt = decode(cfg.step_t)
     assert [r.position_m - r.velocity * dt for r in rows] == [22.5, 15.0, 7.5, 0.0]
-    for row, v in zip(rows, fleet):             # the first update starts at rest
-        va = pipeline_oracle(GippsOperands(v.max_accel, cfg.step_t, v.desired_speed, Fx(0))).va
-        assert row.velocity == decode(Fx(min(va.raw, v.desired_speed.raw)))
-    for v in fleet:
-        assert encode(cfg.min_desired_speed).raw <= v.desired_speed.raw
-        assert v.desired_speed.raw <= encode(cfg.max_desired_speed).raw
-        assert encode(cfg.min_accel).raw <= v.max_accel.raw <= encode(cfg.max_accel).raw
+    for row, vs, a in zip(rows, vstar.tolist(), accel.tolist()):   # the first update starts at rest
+        va = pipeline_oracle(GippsOperands(Fx(a), cfg.step_t, Fx(vs), Fx(0))).va
+        assert row.velocity == decode(Fx(min(va.raw, vs)))
+    assert vstar.dtype == accel.dtype == np.int64
+    assert encode(cfg.min_desired_speed).raw <= vstar.min()
+    assert vstar.max() <= encode(cfg.max_desired_speed).raw
+    assert encode(cfg.min_accel).raw <= accel.min() <= accel.max() <= encode(cfg.max_accel).raw
 
 
 def test_fleet_is_seed_deterministic():
     a = init_fleet(SimConfig(seed=7))
     b = init_fleet(SimConfig(seed=7))
     c = init_fleet(SimConfig(seed=8))
-    assert a == b
-    assert a != c
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not any(np.array_equal(x, y) for x, y in zip(a, c))
+
+
+def sequential_fleet(cfg):
+    """The fleet drawn one value at a time from the seed's stream: per
+    vehicle, desired speed, then acceleration, each encoded on its own."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    vstar, accel = [], []
+    for _ in range(cfg.n_vehicles):
+        vstar.append(encode(float(rng.uniform(cfg.min_desired_speed, cfg.max_desired_speed))).raw)
+        accel.append(encode(float(rng.uniform(cfg.min_accel, cfg.max_accel))).raw)
+    return vstar, accel
+
+
+@pytest.mark.parametrize("ranges", [
+    {},
+    dict(max_desired_speed=VALUE_MAX, min_accel=0.015625),      # the format's ends
+    dict(min_desired_speed=20.0, max_desired_speed=20.0, min_accel=2.0, max_accel=2.0),
+    dict(min_desired_speed=0.1, max_desired_speed=0.1, min_accel=0.0, max_accel=200.0),
+], ids=["defaults", "format-ends", "min-equals-max", "one-range-pinned"])
+def test_init_fleet_is_the_sequential_draw(ranges):
+    for n in (1, 2, 4, 100, 1000, 1001):
+        for seed in (0, 1, 42, 2**32 - 1):
+            cfg = SimConfig(n_vehicles=n, seed=seed, **ranges)
+            vstar, accel = init_fleet(cfg)
+            assert vstar.dtype == accel.dtype == np.int64
+            assert (vstar.tolist(), accel.tolist()) == sequential_fleet(cfg), (n, seed)
 
 
 def test_step_clamps_at_desired_speed():
     cfg = single_vehicle_cfg()
-    fleet = init_fleet(cfg)
+    vstar, _ = init_fleet(cfg)
     run = SimRun(cfg)
     vel = np.zeros(1, dtype=np.int64)
     # drive far past saturation
     for _ in range(400):
         step_sim(run.vstar, run.table, vel)
-    assert vel[0] == fleet[0].desired_speed.raw
+    assert vel[0] == vstar[0]
 
 
 def test_single_vehicle_monotone_bounded_stabilizing():
@@ -90,8 +117,7 @@ def test_single_vehicle_exact_sequence():
     # independent re-derivation: iterate the integer oracle with the
     # same clamp and position update the simulator applies
     cfg = single_vehicle_cfg(n_steps=50)
-    fleet = init_fleet(cfg)
-    desired, accel = fleet[0].desired_speed, fleet[0].max_accel
+    desired, accel = (Fx(int(w[0])) for w in init_fleet(cfg))
     rows, _ = run_sim(cfg)
 
     v = Fx(0)
@@ -140,7 +166,7 @@ def test_each_operand_validated_once(monkeypatch):
 def per_vehicle_sim(cfg, pe_cfg):
     """The sim with every vehicle's update run through the datapath at
     every step, the same clamp and the same position expression."""
-    fleet = init_fleet(cfg)
+    vstar, accel = ([Fx(raw) for raw in w.tolist()] for w in init_fleet(cfg))
     n = cfg.n_vehicles
     vel = [Fx(0)] * n
     pos = [(n - 1 - i) * cfg.initial_spacing_m for i in range(n)]
@@ -150,14 +176,13 @@ def per_vehicle_sim(cfg, pe_cfg):
     time_ns = 0.0
     for step in range(1, cfg.n_steps + 1):
         results, report = dispatch_batch(
-            [GippsOperands(veh.max_accel, cfg.step_t, veh.desired_speed, v)
-             for veh, v in zip(fleet, vel)], pe_cfg)
+            [GippsOperands(a, cfg.step_t, vs, v) for a, vs, v in zip(accel, vstar, vel)], pe_cfg)
         ops += report.ops
         cycles += report.cycles
         time_ns += report.modeled_time_ns
         per_op = max(per_op, report.per_op_cycles)
-        for i, (veh, res) in enumerate(zip(fleet, results)):
-            vel[i] = Fx(min(res.va.raw, veh.desired_speed.raw))
+        for i, (vs, res) in enumerate(zip(vstar, results)):
+            vel[i] = Fx(min(res.va.raw, vs.raw))
             pos[i] = pos[i] + decode(vel[i]) * dt
         for i in range(n):
             gap = None if i == 0 else pos[i - 1] - pos[i]
@@ -232,7 +257,9 @@ def test_write_trace_csv_roundtrip(tmp_path):
     path = tmp_path / "trace.csv"
     with open(path, "x", encoding="utf-8", newline="\n") as fh:
         write_trace_csv(SimRun(cfg), fh)
-    assert path.read_text(encoding="utf-8") == format_trace(run_sim(cfg)[0])
+    # as lists of lines, so that a failure names the first differing row quickly
+    assert path.read_text(encoding="utf-8").splitlines(keepends=True) == \
+        format_trace(run_sim(cfg)[0]).splitlines(keepends=True)
 
 
 @pytest.mark.parametrize("cfg, block_rows", [
@@ -303,18 +330,20 @@ def test_cli_trace_equals_rows_and_per_vehicle_datapath(capsys, tmp_path, cfg):
     assert main(["sim", "--out", str(out), "--pes", "2", *flags]) == 0
     report_lines = capsys.readouterr().out.splitlines()[1:5]
     rows, report = run_sim(cfg, pe_cfg)
-    assert out.read_text(encoding="utf-8") == format_trace(rows)
+    assert out.read_text(encoding="utf-8").splitlines(keepends=True) == \
+        format_trace(rows).splitlines(keepends=True)
     assert (rows, report) == per_vehicle_sim(cfg, pe_cfg)
     assert report_lines == report.lines()
 
 
 def scalar_saturated(fleet, cfg, vel):
-    """Updates at pre-step velocities ``vel`` in which some stage of the
-    scalar datapath clamped, final add included."""
+    """Updates of ``fleet``, ``init_fleet``'s words, at pre-step velocities
+    ``vel`` in which some stage of the scalar datapath clamped, final add
+    included."""
     count = 0
-    for veh, v in zip(fleet, vel):
-        _, _, clamped, c_va = gipps._stages(
-            veh.max_accel.raw, cfg.step_t.raw, veh.desired_speed.raw, v, fxp.sqrt)
+    vstar, accel = fleet
+    for vs, a, v in zip(vstar.tolist(), accel.tolist(), vel):
+        _, _, clamped, c_va = gipps._stages(a, cfg.step_t.raw, vs, v, fxp.sqrt)
         count += clamped | c_va
     return count
 

@@ -203,7 +203,7 @@ def no_percent_texts(x, places, end):
     raise AssertionError(f"{len(x)} values fell back to per-element %.{places}f")
 
 
-def test_run_sweep_falls_back_per_block(monkeypatch):
+def test_run_sweep_writes_columns_past_2_52_as_percent_texts(monkeypatch):
     """Only the columns of a block with ideals and errors past 2**52 / 10**9
     are written from per-element "%.9f" texts."""
     axes = dict(vstars=(5.0,), accels=(255.0, 1.0), times=(255.0,))
@@ -228,14 +228,14 @@ def test_run_sweep_falls_back_per_block(monkeypatch):
     assert all(r[6] == "%.9f" % abs(float(r[4]) - x) for r, x in zip(rows, ideals))
 
 
-def test_default_grid_takes_record_path_in_every_block(monkeypatch, default_grid):
+def test_default_grid_writes_no_percent_texts(monkeypatch, default_grid):
     monkeypatch.setattr(fxp, "_percent_texts", no_percent_texts)
     fh = RecordingFile()
     assert run_sweep(grid_blocks(), fh).lines() == default_grid.lines()
     assert len(fh.writes) == 1 + 60
 
 
-def test_record_rows_equal_template_rows_rounding_up_to_1000(monkeypatch):
+def test_fixed_texts_equal_percent_texts_rounding_up_to_1000(monkeypatch):
     """The exact path against per-element "%.9f" (``decimals`` made to give
     None), on ideals that round up to 1000."""
     axes = dict(vstars=(0.5, 1.0), accels=(1.0,), times=(0.25,))
