@@ -8,8 +8,8 @@ errors cluster at small radicands, where the truncated divide feeds
 the steepest part of the square root and the a*T gain scales it up.
 
 ``run_sweep`` writes the per-case CSV to the file it is given, one
-write per (a, T, V*) block; this demo shows only the summary, so the
-rows go to os.devnull.
+write per (a, T) block; this demo shows only the summary, so the rows
+go to os.devnull.
 """
 
 import os

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import platform
 import sys
@@ -212,6 +213,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache                    # one per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     pe_array = argparse.ArgumentParser(add_help=False)
     pe_array.add_argument("--clock-hz", type=int, default=DEFAULT_CLOCK_HZ,

@@ -6,11 +6,11 @@ it is the domain the accelerator is meant to serve, and the sweep is
 the evidence that the datapath is exact (vs the oracle) and how far
 quantization pulls it from the real-arithmetic update.
 
-The grid is evaluated one (a, T, V*) block at a time: every velocity
-of a block goes through the array datapath, the oracle's array form
-and the ideal at once, as int64 and float64 arrays.  Nothing holds the
-whole grid; each block's rows are built as one numpy record array of
-``fxp`` texts and written at once.
+The grid is evaluated one (a, T) block of at most BLOCK_ROWS cases at a
+time (12 blocks, so 12 sqrt tables, on the default grid): every case of
+a block goes through the array datapath, the oracle's array form and the
+ideal at once, as int64 and float64 arrays.  Nothing holds the whole
+grid; each block's rows are one numpy record array of ``fxp`` texts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .fxp import SCALE, ZERO, Fx, decode, encode, fixed_texts, join_rows, word_texts
+from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode, fixed_texts, join_rows, word_texts
 from .gipps import (
     GippsOperands,
     GippsResult,
@@ -38,8 +38,9 @@ DEFAULT_TIMES = (0.25, 0.5, 1.0)
 
 CSV_HEADER = "a,T,vstar,v,va_fixed,va_ideal,abs_err"
 
-# One block: a, T and V* words, and an int64 array of raw velocities.
-Block = tuple[Fx, Fx, Fx, np.ndarray]
+# One block: a and T words, and int64 arrays of raw V* and v, one per row.
+Block = tuple[Fx, Fx, np.ndarray, np.ndarray]
+BLOCK_ROWS = RAW_MAX + 1        # the cases of the largest single V* run
 
 
 def grid_blocks(
@@ -48,8 +49,8 @@ def grid_blocks(
     times: Iterable[float] = DEFAULT_TIMES,
     v_equals_vstar: bool = False,
 ) -> Iterator[Block]:
-    """Iterate the grid one (a, T, V*) block at a time: every raw
-    velocity 0..vstar.raw, in the order the CSV lists them.
+    """Iterate the grid in CSV order (each V* with every raw velocity
+    0..vstar.raw), in (a, T) blocks of consecutive V* up to BLOCK_ROWS rows.
 
     ``v_equals_vstar`` restricts the velocity axis to the single point
     v = vstar, where the update is exact.  The axes are encoded and
@@ -63,12 +64,19 @@ def grid_blocks(
     for t in et:
         for vs in evs:
             GippsOperands(ZERO, t, vs, ZERO).validate()
-    return (
-        (a, t, vs, np.arange(vs.raw if v_equals_vstar else 0, vs.raw + 1, dtype=np.int64))
-        for a in ea
-        for t in et
-        for vs in evs
-    )
+    groups, rows = [[]], 0              # the V* words of each block, the last one's rows
+    for vs in evs:
+        n = 1 if v_equals_vstar else vs.raw + 1
+        if rows + n > BLOCK_ROWS:
+            groups, rows = groups + [[]], 0
+        groups[-1].append(vs.raw)
+        rows += n
+
+    def block(words: list[int]) -> list[np.ndarray]:
+        runs = [np.arange(w if v_equals_vstar else 0, w + 1, dtype=np.int64) for w in words]
+        return [np.repeat(np.array(words, np.int64), list(map(len, runs))), np.concatenate(runs)]
+
+    return ((a, t, *block(words)) for a in ea for t in et for words in groups if words)
 
 
 def grid_cases(
@@ -80,9 +88,9 @@ def grid_cases(
     """The grid's operand sets one at a time, in ``grid_blocks`` order
     and with its up-front checks."""
     return (
-        GippsOperands(a, t, vs, Fx(v))
-        for a, t, vs, block in grid_blocks(vstars, accels, times, v_equals_vstar)
-        for v in block.tolist()
+        GippsOperands(a, t, Fx(vs), Fx(v))
+        for a, t, vstar, v_block in grid_blocks(vstars, accels, times, v_equals_vstar)
+        for vs, v in zip(vstar.tolist(), v_block.tolist())
     )
 
 
@@ -152,7 +160,7 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
     Every case runs through the array datapath, the independent integer
     oracle's array form (bit-equality check on va and cycles), and the
     ideal update.  ``fh`` gets the header, then each block's CSV rows in
-    one write: the a,T,V* prefix, the ``word_texts`` of v and va and the
+    one write: the a,T prefix, the ``word_texts`` of V*, v and va and the
     ``fixed_texts`` of the ideals and errors.  The bytes and the summary
     are those of evaluating one case at a time: the same words, the same
     IEEE operations, and the mean of the errors summed in case order.
@@ -163,17 +171,17 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
     words = word_texts(",")
     fh.write(CSV_HEADER + "\n")
     for a, T, vstar, v in blocks:
-        res = gipps_batch(a.raw, T.raw, vstar.raw, v)
-        ref = block_oracle(a.raw, T.raw, vstar.raw, v)
+        res = gipps_batch(a.raw, T.raw, vstar, v)
+        ref = block_oracle(a.raw, T.raw, vstar, v)
         bad = (res.va != ref.va) | (res.cycles != ref.cycles)
         if bad.any():
             summary.mismatches += int(bad.sum())
             if not summary.mismatch_report:
                 i = int(bad.argmax())
                 summary.mismatch_report = _mismatch_report(
-                    GippsOperands(a, T, vstar, Fx(int(v[i]))),
+                    GippsOperands(a, T, Fx(int(vstar[i])), Fx(int(v[i]))),
                     res.case_words(i), ref.case_words(i))
-        ideal = gipps_reference_block(decode(a), decode(T), decode(vstar), v / SCALE)
+        ideal = gipps_reference_block(decode(a), decode(T), vstar / SCALE, v / SCALE)
         errs = np.abs(res.va / SCALE - ideal)
         err_total = float(np.add.accumulate(np.append(err_total, errs))[-1])   # in case order
         summary.max_abs_err = float(errs.max(initial=summary.max_abs_err))
@@ -181,9 +189,9 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
             hist[int(c)] += int(n)
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
         summary.cases += len(v)
-        prefix = f"{decode(a):.6f},{decode(T):.6f},{decode(vstar):.6f},".encode()
-        fh.write(join_rows([prefix, words[v], words[res.va]] + fixed_texts(ideal, 9, ",")
-                           + fixed_texts(errs, 9, "\n")).decode("ascii"))
+        row = [f"{decode(a):.6f},{decode(T):.6f},".encode(), words[vstar], words[v], words[res.va]]
+        row += fixed_texts(ideal, 9, ",") + fixed_texts(errs, 9, "\n")
+        fh.write(join_rows(row).decode("ascii"))
     summary.cycle_histogram = dict(hist)
     summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0

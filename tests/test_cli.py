@@ -322,3 +322,34 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert "result: raw=90  1.406250" in proc.stdout
+
+
+def test_back_to_back_main_calls_print_what_fresh_processes_print(capsys, monkeypatch, tmp_path):
+    """``build_parser`` is built once per process; calls that share it,
+    an argparse error among them, each act as a fresh process does."""
+    runs = [["sweep", "--out", "s.csv", "--vstars", "5,10", "--accels", "1", "--times", "0.5"],
+            ["sim", "--out", "t.csv", "--n-vehicles", "4", "--n-steps", "3"],
+            ["sweep", "--out", "s.csv", "--vstars", "x"],
+            ["sweep", "--out", "s.csv", "--vstars", "5", "--accels", "200", "--times", "1"]]
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    build_parser()
+    built = build_parser.cache_info().misses
+    codes = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        files = {name: (tmp_path / name).read_bytes() for name in ("s.csv", "t.csv")
+                 if (tmp_path / name).exists()}
+        fresh = subprocess.run([sys.executable, "-m", "gippsim.cli", *argv], env=env,
+                               cwd=tmp_path, capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert files == {name: (tmp_path / name).read_bytes() for name in files}
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+    assert build_parser.cache_info().misses == built     # no call built a parser again

@@ -9,6 +9,7 @@ An example that quotes no output only has to exit 0.  Outputs named by
 
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,22 +22,27 @@ HOST_BOUND = {"bench": {"host", "host_ns_per_op", "modeled_ratio"}}
 
 def readme_examples():
     """(argv, quoted lines) for each ``$ gippsim`` line in a fenced block,
-    named by its subcommand."""
+    named by its subcommand, with a count from its second example on
+    (``sweep``, ``sweep-2``)."""
     examples = []
+    seen = Counter()
     for block in README.read_text(encoding="utf-8").split("```")[1::2]:
         quoted = None
         for line in block.splitlines():
             if line.startswith("$ gippsim "):
                 quoted = []
                 argv = shlex.split(line)[2:]
-                examples.append(pytest.param(argv, quoted, id=argv[0]))
+                seen[argv[0]] += 1
+                name = argv[0] if seen[argv[0]] == 1 else f"{argv[0]}-{seen[argv[0]]}"
+                examples.append(pytest.param(argv, quoted, id=name))
             elif quoted is not None:
                 quoted.append(line)
     return examples
 
 
 def test_readme_has_an_example_per_subcommand():
-    assert {ex.id for ex in readme_examples()} == {"bench", "sim", "sqrt", "step", "sweep"}
+    assert {ex.values[0][0] for ex in readme_examples()} == {
+        "bench", "sim", "sqrt", "step", "sweep"}
 
 
 @pytest.mark.parametrize("argv, quoted", readme_examples())

@@ -1,6 +1,6 @@
 """The block sweep against the scalar datapath, oracle and ideal.
 
-``run_sweep`` evaluates one (a, T, V*) block of velocities at a time on
+``run_sweep`` evaluates one (a, T) block of (V*, v) rows at a time on
 int64 arrays.  These tests hold every block-level piece to its scalar
 counterpart case by case, and the sweep's CSV bytes and summary to a
 copy of the one-case-at-a-time loop it replaced.
@@ -191,7 +191,7 @@ def test_run_sweep_writes_header_then_one_write_per_block():
     fh = RecordingFile()
     run_sweep(grid_blocks(**axes), fh)
     n_blocks = len(list(grid_blocks(**axes)))
-    assert n_blocks == 12
+    assert n_blocks == 4
     assert len(fh.writes) == 1 + n_blocks
     assert fh.writes[0] == CSV_HEADER + "\n"
     want = per_case_sweep(grid_cases(**axes))[0]
@@ -232,7 +232,7 @@ def test_default_grid_writes_no_percent_texts(monkeypatch, default_grid):
     monkeypatch.setattr(fxp, "_percent_texts", no_percent_texts)
     fh = RecordingFile()
     assert run_sweep(grid_blocks(), fh).lines() == default_grid.lines()
-    assert len(fh.writes) == 1 + 60
+    assert len(fh.writes) == 1 + 12
 
 
 def test_fixed_texts_equal_percent_texts_rounding_up_to_1000(monkeypatch):
@@ -263,27 +263,27 @@ def exact_tie_distance(x):
     return abs(y - math.floor(y) - Fraction(1, 2))
 
 
-def test_nine_decimals_on_default_grid():
+def test_decimals_9_on_default_grid():
     for a, t, vstar, v in grid_blocks():
-        ideal = gipps_reference_block(decode(a), decode(t), decode(vstar), v / 64)
-        errs = np.abs(gipps_batch(a.raw, t.raw, vstar.raw, v).va / 64 - ideal)
+        ideal = gipps_reference_block(decode(a), decode(t), vstar / 64, v / 64)
+        errs = np.abs(gipps_batch(a.raw, t.raw, vstar, v).va / 64 - ideal)
         for x in (ideal, errs):
             assert nine_decimal_texts(x) == ["%.9f" % y for y in x.tolist()]
 
 
 @given(st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=1, max_size=50))
-def test_nine_decimals_on_floats(xs):
+def test_decimals_9_on_floats(xs):
     assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
 
 
-def test_nine_decimals_on_exact_ties():
+def test_decimals_9_on_exact_ties():
     ties = np.concatenate([np.arange(1, 1024, 2) / 1024 + m for m in (0, 1, 7, 255, 512, 999)])
     assert all(exact_tie_distance(x) == 0 for x in ties.tolist())
     assert nine_decimal_texts(ties) == ["%.9f" % x for x in ties.tolist()]
     assert nine_decimal_texts(-ties) == ["%.9f" % x for x in (-ties).tolist()]
 
 
-def test_nine_decimals_near_ties():
+def test_decimals_9_near_ties():
     """Floats a few ulps from a tie, where x * 1e9 often rounds onto the tie."""
     rng = np.random.Generator(np.random.PCG64(22))
     centres = (rng.integers(0, 10**12, 400) + 0.5) / 1e9
@@ -296,7 +296,7 @@ def test_nine_decimals_near_ties():
     assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs.tolist()]
 
 
-def test_nine_decimals_ends_and_range():
+def test_decimals_9_ends_and_range():
     xs = [0.0, 5e-10, 1.5e-9, 999.9999999994, 999.9999999995, np.nextafter(1000.0, 0.0),
           1000.0, -0.0, -1e-12, -2.5e-9, np.nextafter(2.0**52 / 1e9, 0.0)]
     assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
@@ -307,11 +307,54 @@ def test_nine_decimals_ends_and_range():
 
 def test_grid_cases_flattens_grid_blocks():
     cases = list(grid_cases(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0)))
-    flat = [GippsOperands(a, t, vs, Fx(raw))
-            for a, t, vs, v in grid_blocks(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0))
-            for raw in v.tolist()]
+    flat = [GippsOperands(a, t, Fx(vs), Fx(raw))
+            for a, t, vstar, v in grid_blocks(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0))
+            for vs, raw in zip(vstar.tolist(), v.tolist())]
     assert cases == flat
     assert len(cases) == 2 * (33 + 65)
+
+
+def spelled_out_grid(vstars=sweep.DEFAULT_VSTARS, accels=sweep.DEFAULT_ACCELS,
+                     times=sweep.DEFAULT_TIMES, v_equals_vstar=False):
+    """The grid's cases in CSV order: a, then T, then V*, then v."""
+    return [GippsOperands(fxp.encode(a), fxp.encode(t), fxp.encode(vs), Fx(raw))
+            for a in accels for t in times for vs in vstars
+            for raw in range(fxp.encode(vs).raw if v_equals_vstar else 0, fxp.encode(vs).raw + 1)]
+
+
+# V* runs of 16,384, 33, 65, 16,384, 16,384, 193 and 12,801 rows
+CAP_AXES = dict(vstars=(255.984375, 0.5, 1.0, 255.984375, 255.984375, 3.0, 200.0),
+                accels=(1.0, 200.0), times=(0.25,))
+
+
+@pytest.mark.parametrize("axes, n_pairs, rows", [
+    (CAP_AXES, 2, [16384, 33 + 65, 16384, 16384, 193 + 12801]),
+    (dict(CAP_AXES, v_equals_vstar=True), 2, [7]),
+    ({}, 12, [321 + 641 + 1281 + 2305 + 4481]),
+    (dict(v_equals_vstar=True), 12, [5]),
+], ids=["row-cap", "row-cap-v-equals-vstar", "default", "default-v-equals-vstar"])
+def test_grid_blocks_hold_one_a_t_pair_and_at_most_block_rows(axes, n_pairs, rows):
+    blocks = list(grid_blocks(**axes))
+    assert sweep.BLOCK_ROWS == RAW_MAX + 1 == 16384
+    assert [len(v) for _, _, _, v in blocks] == rows * n_pairs
+    pairs = [(a, t) for a, t, _, _ in blocks]
+    assert all(isinstance(x, Fx) for pair in pairs for x in pair)
+    assert len(set(pairs)) == n_pairs
+    assert pairs == sorted(pairs, key=pairs.index)     # a pair's blocks are consecutive
+    flat = [GippsOperands(a, t, Fx(vs), Fx(raw))
+            for a, t, vstar, v in blocks
+            for vs, raw in zip(vstar.tolist(), v.tolist())]
+    assert flat == spelled_out_grid(**axes) == list(grid_cases(**axes))
+
+
+def test_run_sweep_matches_per_case_loop_across_the_row_cap():
+    axes = dict(vstars=(255.984375, 0.5, 1.0, 255.984375), accels=(1.0,), times=(0.25,))
+    assert [len(v) for _, _, _, v in grid_blocks(**axes)] == [16384, 33 + 65, 16384]
+    fh = io.StringIO()
+    summary = run_sweep(grid_blocks(**axes), fh)
+    want_csv, want_lines = per_case_sweep(grid_cases(**axes))
+    assert fh.getvalue().splitlines(keepends=True) == want_csv.splitlines(keepends=True)
+    assert summary.lines()[:6] == want_lines
 
 
 @pytest.fixture(scope="module")
@@ -355,11 +398,32 @@ def test_first_mismatch_names_case_and_stage(capsys, monkeypatch, tmp_path):
     assert err[2] == "scalar re-run: gipps_step and pipeline_oracle agree"
 
 
+def test_first_mismatch_in_a_merged_block_names_its_rows_vstar(monkeypatch):
+    real = sweep.block_oracle
+
+    def perturbed(a, t, vstar, v):
+        ref = real(a, t, vstar, v)
+        va = ref.va.copy()
+        va[33 + 7] += 1                   # the V* = 0.5 run has 33 rows
+        return dataclasses.replace(ref, va=va)
+
+    monkeypatch.setattr(sweep, "block_oracle", perturbed)
+    summary = run_sweep(grid_blocks(vstars=(0.5, 5.0), accels=(1.0,), times=(0.5,)),
+                        io.StringIO())
+    assert summary.mismatches == 1
+    assert summary.mismatch_report[0].startswith(
+        "first mismatch: a=1.000000 T=0.500000 vstar=5.000000 v=0.109375 (raw 64 32 320 7; ")
+    va = gipps_step(GippsOperands(Fx(64), Fx(32), Fx(320), Fx(7))).va.raw
+    assert summary.mismatch_report[1] == f"first differing stage: va datapath raw {va}, " \
+                                         f"oracle raw {va + 1}"
+
+
 def test_ideal_block_equals_gipps_reference_on_default_grid():
     for a, t, vstar, v in grid_blocks():
-        xs = (decode(a), decode(t), decode(vstar))
-        got = gipps_reference_block(*xs, v / 64).tolist()
-        assert got == [gipps_reference(*xs, raw / 64) for raw in v.tolist()]
+        xs = (decode(a), decode(t))
+        got = gipps_reference_block(*xs, vstar / 64, v / 64).tolist()
+        assert got == [gipps_reference(*xs, vs / 64, raw / 64)
+                       for vs, raw in zip(vstar.tolist(), v.tolist())]
 
 
 def test_ideal_block_equals_gipps_reference_on_random_floats():
@@ -375,9 +439,9 @@ def test_ideal_block_equals_gipps_reference_on_random_floats():
 def test_mean_abs_err_sums_errors_in_case_order(default_grid):
     errs = []
     for a, t, vstar, v in grid_blocks():
-        va = gipps_batch(a.raw, t.raw, vstar.raw, v).va.tolist()
-        errs += [abs(x / 64 - gipps_reference(decode(a), decode(t), decode(vstar), raw / 64))
-                 for raw, x in zip(v.tolist(), va)]
+        va = gipps_batch(a.raw, t.raw, vstar, v).va.tolist()
+        errs += [abs(x / 64 - gipps_reference(decode(a), decode(t), vs / 64, raw / 64))
+                 for vs, raw, x in zip(vstar.tolist(), v.tolist(), va)]
     total = 0.0
     for err in errs:
         total += err
