@@ -7,7 +7,7 @@ real-arithmetic formula (quantization error shows up here).  The big
 errors cluster at small radicands, where the truncated divide feeds
 the steepest part of the square root and the a*T gain scales it up.
 
-``run_sweep`` writes the per-case CSV to the file it is given, one
+``run_sweep`` writes the per-case CSV to the binary file it is given, one
 write per (a, T) block; this demo shows only the summary, so the rows
 go to os.devnull.
 """
@@ -18,7 +18,7 @@ from gippsim.fxp import decode
 from gippsim.gipps import gipps_reference, gipps_step
 from gippsim.sweep import grid_blocks, grid_cases, run_sweep
 
-with open(os.devnull, "w") as devnull:
+with open(os.devnull, "wb") as devnull:
     summary = run_sweep(grid_blocks(vstars=(5.0, 20.0, 70.0)), devnull)
 
 print("sweep of a compact grid (3 desired speeds x 4 accels x 3 times):")

@@ -23,7 +23,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -103,15 +103,15 @@ def _axis(text: str) -> tuple[float, ...]:
 
 
 @contextlib.contextmanager
-def _replacing(path: str) -> Iterator[TextIO]:
-    """Yield a new UTF-8 text file beside ``path``: moved over ``path``
-    on success, removed on any exception (KeyboardInterrupt included).
-    A device or FIFO such as /dev/null is written in place."""
+def _replacing(path: str) -> Iterator[BinaryIO]:
+    """Yield a new binary file beside ``path``: moved over ``path`` on
+    success, removed on any exception (KeyboardInterrupt included).  A
+    device or FIFO such as /dev/null is written in place."""
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)     # replace a symlink's target, not the link
     name = path if in_place else f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
-        fh = open(name, "w" if in_place else "x", encoding="utf-8", newline="\n")
+        fh = open(name, "wb" if in_place else "xb")
     except OSError as exc:          # report the path asked for, not the temp name
         raise OSError(exc.errno, exc.strerror, path) from None
     try:

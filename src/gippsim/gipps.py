@@ -183,8 +183,9 @@ def gipps_reference(a: float, T: float, vstar: float, v: float) -> float:
     return v + 2.5 * a * T * (1.0 - ratio) * math.sqrt(0.025 + ratio)
 
 
-def gipps_reference_block(a: float, T: float, vstar: float, v: np.ndarray) -> np.ndarray:
-    """``gipps_reference`` over a float64 array of velocities.
+def gipps_reference_block(a: float, T: float, vstar: float | np.ndarray,
+                          v: np.ndarray) -> np.ndarray:
+    """``gipps_reference`` over float64 velocities ``v``, at one V* or one per row.
 
     The same operations in the same order, elementwise: each element is
     the scalar call's result bit for bit (IEEE multiply, add and sqrt

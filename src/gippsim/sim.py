@@ -30,9 +30,9 @@ in step order, the same IEEE adds as pos = pos + (v / 64) * T at each
 step, so positions keep their bytes for any spacing.
 
 ``SimRun`` is a stream of blocks of steps that ``write_trace_csv``
-writes as they come, so the CLI never holds the trace; ``run_sim``
-collects ``TraceRow``s for library callers, and ``format_trace``'s
-f-strings are the byte reference for ``write_trace_csv``.
+writes to a binary file as they come, so the CLI never holds the trace;
+``run_sim`` collects ``TraceRow``s for library callers, and
+``format_trace``'s f-strings are the writer's byte reference.
 
 Fleet randomness comes from numpy's PCG64 generator, seeded from
 ``SimConfig.seed``: ``init_fleet`` takes one (n, 2) uniform draw, so per
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from . import fxp
 from .fxp import ONE, SCALE, ZERO, Fx, OutOfRangeError, decode, encode
 from .gipps import GippsBlock, GippsOperands, gipps_batch
 from .pearray import BatchReport, PeArrayConfig, dispatch_batch
+from .text import fixed_texts, int_texts, join_rows, word_texts
 
 TRACE_HEADER = "step,vehicle_id,velocity,position_m,gap_to_leader_m"
 _BLOCK_ROWS = 1 << 12       # trace rows (steps x vehicles) per block: its text stays small
@@ -168,9 +169,8 @@ class SimRun:
         _, step = dispatch_batch([GippsOperands(Fx(ai), cfg.step_t, Fx(vi), ZERO)
                                   for ai, vi in zip(a.tolist(), self.vstar.tolist())], pe_cfg)
         self.table = gipps_batch(a[:, None], cfg.step_t.raw, ONE.raw, np.arange(ONE.raw + 1))
-        time_ns = 0.0
-        for _ in range(cfg.n_steps):        # one add per step, in step order
-            time_ns += step.modeled_time_ns
+        # one add per step, in step order: accumulate adds left to right
+        time_ns = float(np.add.accumulate(np.full(cfg.n_steps, step.modeled_time_ns))[-1])
         self.report = BatchReport(cfg.n_steps * step.ops, cfg.n_steps * step.cycles,
                                   time_ns, step.per_op_cycles)
         self.saturated_updates = 0
@@ -227,25 +227,25 @@ def format_trace(rows: Sequence[TraceRow]) -> str:
     return buf.getvalue()
 
 
-def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: TextIO) -> None:
-    """Write a ``SimRun`` stream to ``fh`` as the trace CSV, one block at a time.
+def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: BinaryIO) -> None:
+    """Write a ``SimRun`` stream to binary ``fh`` as the trace CSV, block by block.
 
-    Each block's rows are one ``fxp.join_rows`` of the ``fxp`` texts of
+    Each block's rows are one ``join_rows`` of the ``gippsim.text`` fields of
     step, vehicle, velocity, position and gap; the bytes are those of
     ``format_trace`` on the same run's rows.
     """
-    words = fxp.word_texts(",")
-    fh.write(TRACE_HEADER + "\n")
+    words = word_texts(",")
+    fh.write((TRACE_HEADER + "\n").encode())
     for first, vels, pos in blocks:
         k, n = vels.shape
-        gap_fields = fxp.fixed_texts((np.roll(pos, 1, axis=1) - pos).ravel(), 6, "\n")
+        gap_fields = fixed_texts((np.roll(pos, 1, axis=1) - pos).ravel(), 6, "\n")
         for f in gap_fields:
             f[::n] = b""                # the leader has no gap: blank its wrapped one
         gap_fields[-1][::n] = b"\n"
-        fh.write(fxp.join_rows(fxp.int_texts(np.repeat(np.arange(first, first + k), n), ",")
-                               + fxp.int_texts(np.tile(np.arange(n), k), ",")
-                               + [words[vels.ravel()]]
-                               + fxp.fixed_texts(pos.ravel(), 6, ",") + gap_fields).decode("ascii"))
+        fh.write(join_rows(int_texts(np.repeat(np.arange(first, first + k), n), ",")
+                           + int_texts(np.tile(np.arange(n), k), ",")
+                           + [words[vels.ravel()]]
+                           + fixed_texts(pos.ravel(), 6, ",") + gap_fields))
 
 
 # Every SimConfig field is a config key, with the type its value is

@@ -10,18 +10,19 @@ The grid is evaluated one (a, T) block of at most BLOCK_ROWS cases at a
 time (12 blocks, so 12 sqrt tables, on the default grid): every case of
 a block goes through the array datapath, the oracle's array form and the
 ideal at once, as int64 and float64 arrays.  Nothing holds the whole
-grid; each block's rows are one numpy record array of ``fxp`` texts.
+grid; each block's rows are one numpy record array of ``text`` fields,
+written to a binary file as bytes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode, fixed_texts, join_rows, word_texts
+from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode
 from .gipps import (
     GippsOperands,
     GippsResult,
@@ -31,6 +32,7 @@ from .gipps import (
     gipps_step,
 )
 from .oracle import block_oracle, pipeline_oracle
+from .text import fixed_texts, join_rows, word_texts
 
 DEFAULT_VSTARS = (5.0, 10.0, 20.0, 36.0, 70.0)
 DEFAULT_ACCELS = (0.5, 1.0, 2.0, 5.0)
@@ -153,23 +155,24 @@ def _mismatch_report(ops: GippsOperands, words: list[tuple[str, int]],
     ]
 
 
-def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
+def run_sweep(blocks: Iterable[Block], fh: BinaryIO) -> SweepSummary:
     """Evaluate each block three ways, write it to ``fh`` and fold the
     results into a summary.
 
     Every case runs through the array datapath, the independent integer
     oracle's array form (bit-equality check on va and cycles), and the
-    ideal update.  ``fh`` gets the header, then each block's CSV rows in
-    one write: the a,T prefix, the ``word_texts`` of V*, v and va and the
-    ``fixed_texts`` of the ideals and errors.  The bytes and the summary
-    are those of evaluating one case at a time: the same words, the same
-    IEEE operations, and the mean of the errors summed in case order.
+    ideal update; once checked and counted, a block keeps only its va.
+    The binary ``fh`` gets the header, then each block's CSV rows in one
+    write: the ``word_texts`` of a,T, V*, v and va and the ``fixed_texts``
+    of the ideals and errors.  The bytes and the summary are those of
+    evaluating one case at a time: the same words, the same IEEE
+    operations, and the mean of the errors summed in case order.
     """
     summary = SweepSummary()
     hist: Counter[int] = Counter()
     err_total = 0.0
     words = word_texts(",")
-    fh.write(CSV_HEADER + "\n")
+    fh.write((CSV_HEADER + "\n").encode())
     for a, T, vstar, v in blocks:
         res = gipps_batch(a.raw, T.raw, vstar, v)
         ref = block_oracle(a.raw, T.raw, vstar, v)
@@ -181,17 +184,18 @@ def run_sweep(blocks: Iterable[Block], fh: TextIO) -> SweepSummary:
                 summary.mismatch_report = _mismatch_report(
                     GippsOperands(a, T, Fx(int(vstar[i])), Fx(int(v[i]))),
                     res.case_words(i), ref.case_words(i))
-        ideal = gipps_reference_block(decode(a), decode(T), vstar / SCALE, v / SCALE)
-        errs = np.abs(res.va / SCALE - ideal)
-        err_total = float(np.add.accumulate(np.append(err_total, errs))[-1])   # in case order
-        summary.max_abs_err = float(errs.max(initial=summary.max_abs_err))
         for c, n in zip(*np.unique(res.cycles, return_counts=True)):
             hist[int(c)] += int(n)
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))
         summary.cases += len(v)
-        row = [f"{decode(a):.6f},{decode(T):.6f},".encode(), words[vstar], words[v], words[res.va]]
-        row += fixed_texts(ideal, 9, ",") + fixed_texts(errs, 9, "\n")
-        fh.write(join_rows(row).decode("ascii"))
+        va = res.va
+        del res, ref, bad               # the stage words are not written
+        ideal = gipps_reference_block(decode(a), decode(T), vstar / SCALE, v / SCALE)
+        errs = np.abs(va / SCALE - ideal)
+        err_total = float(np.add.accumulate(np.append(err_total, errs))[-1])   # in case order
+        summary.max_abs_err = float(errs.max(initial=summary.max_abs_err))
+        row = [join_rows([words[[a.raw, T.raw]]]), words[vstar], words[v], words[va]]
+        fh.write(join_rows(row + fixed_texts(ideal, 9, ",") + fixed_texts(errs, 9, "\n")))
     summary.cycle_histogram = dict(hist)
     summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0

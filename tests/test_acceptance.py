@@ -32,7 +32,7 @@ def report(capsys, num, name, ok, detail):
 
 @pytest.fixture(scope="module")
 def sweep_summary():
-    return run_sweep(grid_blocks(), io.StringIO())
+    return run_sweep(grid_blocks(), io.BytesIO())
 
 
 def test_criterion_1_quantization_budget(capsys):

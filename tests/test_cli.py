@@ -116,11 +116,11 @@ def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path
         def __init__(self, fh):
             self.fh, self.calls = fh, 0
 
-        def write(self, text):
+        def write(self, data):
             self.calls += 1
             if self.calls == 4:
                 raise KeyboardInterrupt
-            return self.fh.write(text)
+            return self.fh.write(data)
 
     def run_sweep(blocks, fh):
         return real(blocks, FailingFile(fh))
@@ -136,7 +136,7 @@ def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path
 
 def test_sim_failed_write_keeps_existing_output(capsys, monkeypatch, tmp_path):
     def write_trace_csv(steps, fh):
-        fh.write("step,vehicle_id")
+        fh.write(b"step,vehicle_id")
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "write_trace_csv", write_trace_csv)
@@ -189,6 +189,23 @@ def test_sim_writes_to_fifo_in_place(capsys, tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert got and got[0].startswith(TRACE_HEADER.encode())
     assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def test_sweep_writes_to_fifo_in_place(capsys, tmp_path):
+    axes = ["--vstars", "5", "--accels", "1", "--times", "0.5"]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run_cli(capsys, "sweep", "--out", str(fifo), *axes)
+    reader.join(timeout=30)
+    assert (code, err) == (0, "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    out_csv = tmp_path / "sweep.csv"
+    assert run_cli(capsys, "sweep", "--out", str(out_csv), *axes) == (0, out, "")
+    assert got == [out_csv.read_bytes()]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "sweep.csv"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from gippsim import fxp
+from gippsim import fxp, text
 from gippsim.fxp import (
     ONE,
     RAW_MAX,
@@ -22,12 +22,9 @@ from gippsim.fxp import (
     mul,
     sqrt,
     sub,
-    fixed_texts,
-    int_texts,
-    join_rows,
-    word_texts,
 )
 from gippsim.oracle import floor_isqrt
+from gippsim.text import fixed_texts, int_texts, join_rows, word_texts
 
 raws = st.integers(min_value=0, max_value=RAW_MAX)
 
@@ -101,7 +98,7 @@ def test_grid_texts_format_every_fraction():
 def test_grid_texts_leave_off_grid_arrays_to_percent_format(x):
     assert six_decimal_texts(x) == ["%.6f" % v for v in x]
     big = max(abs(v) for v in x) * 1e6 >= 2**52
-    assert (fxp.decimals(np.array(x), 6) is None) == big
+    assert (text.decimals(np.array(x), 6) is None) == big
 
 
 def exact_tie_distance(x, places):
@@ -113,7 +110,7 @@ def exact_tie_distance(x, places):
 def decimal_texts(x, places):
     """``decimals(x, places)`` as the "%.{places}f" text it stands for."""
     x = np.asarray(x, dtype=np.float64)
-    n = fxp.decimals(x, places).tolist()
+    n = text.decimals(x, places).tolist()
     return ["-" * s + "%d.%0*d" % (k // 10**places, places, k % 10**places)
             for s, k in zip(np.signbit(x).tolist(), n)]
 
@@ -145,7 +142,7 @@ def test_decimals_next_to_ties(places):
 
 @pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, 2.0**52 / 1e6, -(2.0**52) / 1e6])
 def test_decimals_none_past_2_52(x):
-    assert fxp.decimals(np.array([1.0, x]), 6) is None
+    assert text.decimals(np.array([1.0, x]), 6) is None
 
 
 def test_int_texts():

@@ -5,7 +5,7 @@ tests and the demos with ``ast``: a name bound by an import must appear
 as a name elsewhere in that file.  A ``# noqa`` on the import statement
 exempts it, for an import kept for another module to patch.
 
-Importing the CLI also builds no digit table of ``fxp``'s text path:
+Importing the CLI also builds no digit table of ``text``'s number path:
 they are built on first use, so start-up does not pay for them.
 """
 
@@ -46,7 +46,7 @@ def test_every_imported_name_is_used():
 
 
 def test_import_builds_no_digit_tables():
-    code = "import gippsim.cli; from gippsim import fxp; print(fxp._groups.cache_info().currsize)"
+    code = "import gippsim.cli; from gippsim import text; print(text._groups.cache_info().currsize)"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)

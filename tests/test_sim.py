@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gippsim import fxp, gipps, pearray, sim
+from gippsim import fxp, gipps, pearray, sim, text
 from gippsim.cli import main
 from gippsim.fxp import RAW_MAX, VALUE_MAX, Fx, decode, encode
 from gippsim.gipps import GippsOperands
@@ -207,7 +207,9 @@ def sim_cases(draw):
         min_accel=draw(st.floats(0.0, accel_hi)),
         max_accel=accel_hi,
     )
-    return cfg, PeArrayConfig(num_pes=draw(st.integers(1, 16)))
+    # at 3 Hz and 7 Hz a step's modeled time is inexact, so its sum depends on the add order
+    clock_hz = draw(st.sampled_from([3, 7, pearray.DEFAULT_CLOCK_HZ]))
+    return cfg, PeArrayConfig(num_pes=draw(st.integers(1, 16)), clock_hz=clock_hz)
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,6 +219,21 @@ def test_run_sim_equals_per_vehicle_datapath(case):
     expected = per_vehicle_sim(cfg, pe_cfg)
     assert SimRun(cfg, pe_cfg).report == expected[1]     # final before any iteration
     assert run_sim(cfg, pe_cfg) == expected
+
+
+@pytest.mark.parametrize("clock_hz", [3, 7])
+@pytest.mark.parametrize("n_steps", [1, 2, 999, 4321])
+def test_modeled_time_sums_the_steps_in_order(clock_hz, n_steps):
+    cfg, pe_cfg = SimConfig(n_vehicles=5, n_steps=n_steps), PeArrayConfig(3, clock_hz)
+    step = SimRun(SimConfig(n_vehicles=5, n_steps=1), pe_cfg).report.modeled_time_ns
+    want = 0.0
+    for _ in range(n_steps):
+        want += step
+    got = SimRun(cfg, pe_cfg).report.modeled_time_ns
+    assert type(got) is float
+    assert got == want
+    if n_steps == 4321:
+        assert want != n_steps * step       # the sum's rounding shows
 
 
 def test_run_sim_aggregate_report():
@@ -255,7 +272,7 @@ def test_trace_steps_are_one_based():
 def test_write_trace_csv_roundtrip(tmp_path):
     cfg = SimConfig(n_vehicles=2, n_steps=1)
     path = tmp_path / "trace.csv"
-    with open(path, "x", encoding="utf-8", newline="\n") as fh:
+    with open(path, "xb") as fh:
         write_trace_csv(SimRun(cfg), fh)
     # as lists of lines, so that a failure names the first differing row quickly
     assert path.read_text(encoding="utf-8").splitlines(keepends=True) == \
@@ -272,11 +289,11 @@ def test_write_trace_csv_roundtrip(tmp_path):
     (SimConfig(n_vehicles=2, n_steps=20, initial_spacing_m=2.0**40 - 2), 2),
     (SimConfig(n_vehicles=1, n_steps=100), sim._BLOCK_ROWS),
 ], ids=["gaps-in-(-1,0)", "spacing-2^45", "crossing-2^40", "one-vehicle"])
-def test_grid_and_fallback_blocks_write_the_rows_bytes(monkeypatch, cfg, block_rows):
+def test_write_trace_csv_equals_format_trace(monkeypatch, cfg, block_rows):
     monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace_csv(SimRun(cfg), buf)
-    text = buf.getvalue()
+    text = buf.getvalue().decode()
     assert text.splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(keepends=True)
     if cfg.initial_spacing_m == 0.25:
         assert text.count(",-0.") > 10
@@ -292,24 +309,24 @@ def test_benchmark_shapes_never_fall_back_to_per_element_texts(monkeypatch, cfg)
     def fallback(x, places, end):
         raise AssertionError(f"{len(x)} values fell back to per-element %.{places}f")
 
-    monkeypatch.setattr(fxp, "_percent_texts", fallback)
-    buf = io.StringIO()
+    monkeypatch.setattr(text, "_percent_texts", fallback)
+    buf = io.BytesIO()
     write_trace_csv(SimRun(cfg), buf)
     # as lists of lines, so that a failure names the first differing row quickly
-    assert buf.getvalue().splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(
-        keepends=True)
+    assert buf.getvalue().decode().splitlines(keepends=True) == format_trace(
+        run_sim(cfg)[0]).splitlines(keepends=True)
 
 
 def test_spacing_2_45_falls_back_per_column(monkeypatch):
     calls = []
-    real = fxp._percent_texts
-    monkeypatch.setattr(fxp, "_percent_texts",
+    real = text._percent_texts
+    monkeypatch.setattr(text, "_percent_texts",
                         lambda x, *rest: calls.append(rest) or real(x, *rest))
     cfg = SimConfig(n_vehicles=3, n_steps=50, initial_spacing_m=2.0**45)
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_trace_csv(SimRun(cfg), buf)
-    assert buf.getvalue().splitlines(keepends=True) == format_trace(run_sim(cfg)[0]).splitlines(
-        keepends=True)
+    assert buf.getvalue().decode().splitlines(keepends=True) == format_trace(
+        run_sim(cfg)[0]).splitlines(keepends=True)
     assert calls == [(6, "\n"), (6, ",")]       # gaps and positions of the one block
 
 
@@ -411,7 +428,7 @@ def test_any_block_size_gives_the_per_vehicle_run(monkeypatch, cfg):
         write_trace_csv(run, SimpleNamespace(write=writes.append))
         assert len(writes) == 1 + math.ceil(cfg.n_steps / steps), steps   # header, then blocks
         # as lists of lines, so that a failure names the first differing row quickly
-        assert "".join(writes).splitlines(keepends=True) == \
+        assert b"".join(writes).decode().splitlines(keepends=True) == \
             format_trace(rows).splitlines(keepends=True), steps
         assert run.saturated_updates == saturated, steps
 
