@@ -94,12 +94,9 @@ def cmd_sqrt(args: argparse.Namespace) -> int:
 def _axis(text: str) -> tuple[float, ...]:
     """argparse type hook: comma-separated decimal grid axis."""
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty axis")
-    return values
 
 
 @contextlib.contextmanager

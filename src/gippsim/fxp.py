@@ -152,12 +152,12 @@ class SqrtTrace:
 
 
 def _sqrt_seed(t: int) -> int:
-    """Initial estimate from the leading-one position plus the seed ROM."""
+    """Initial estimate from the leading-one position plus the seed ROM.
+    ``sqrt`` passes t = raw * 64 >= 64, so k >= 3, the mantissa picks an
+    entry in 4..15 (each >= 523) and the seed is at least 8."""
     k = (t.bit_length() - 1) // 2       # floor(sqrt(t)) is a k+1 bit number
-    if k < 1:
-        return 1
     m = t >> (2 * k - 2)                # normalized mantissa, 4..15
-    return max(1, (SQRT_SEED_LUT[m] * (1 << (k - 1)) + 128) >> 8)
+    return (SQRT_SEED_LUT[m] * (1 << (k - 1)) + 128) >> 8
 
 
 def sqrt(raw: int) -> tuple[int, SqrtTrace]:
@@ -167,8 +167,10 @@ def sqrt(raw: int) -> tuple[int, SqrtTrace]:
     the result raw is floor(sqrt(t)).  Babylonian refinement runs from
     the ROM seed; the unit always performs its two provisioned passes,
     then stops as soon as a pass fails to decrease, or at the hard cap
-    of 6.  The answer is the smaller of the last two iterates, fixed up
-    by at most one decrement so that r*r <= t < (r+1)*(r+1) holds.
+    of 6.  The answer is the smaller of the last two iterates: one pass
+    from any seed >= 1 lands at or above the floor root, the iterates
+    fall to it, and the first pass from it does not decrease.  No word
+    takes more than 3 passes, so the cap is never reached.
     """
     t = raw << FRAC_BITS
     if t == 0:
@@ -184,7 +186,4 @@ def sqrt(raw: int) -> tuple[int, SqrtTrace]:
         if len(iterates) == SQRT_MAX_PASSES:
             break
         prev = nxt
-    root = min(iterates[-2], iterates[-1]) if len(iterates) >= 2 else iterates[-1]
-    if root * root > t:
-        root -= 1
-    return root, SqrtTrace(raw, x0, tuple(iterates))
+    return min(iterates[-2:]), SqrtTrace(raw, x0, tuple(iterates))

@@ -32,6 +32,8 @@ from .fxp import Fx, SqrtTrace
 K1 = Fx(160)   # 2.5, exact in Q8.6
 K2 = Fx(2)     # 0.025 quantized to the nearest word, 0.03125
 
+STAGES = ("q", "f", "r", "s", "p1", "p2", "p3", "p4")   # the stage words in pipeline order
+
 
 class InvalidOperandsError(ValueError):
     """Operand set violates the instruction preconditions."""
@@ -91,10 +93,7 @@ class GippsResult:
     sqrt_trace: SqrtTrace
 
     def stages(self) -> list[tuple[str, Fx]]:
-        return [
-            ("q", self.q), ("f", self.f), ("r", self.r), ("s", self.s),
-            ("p1", self.p1), ("p2", self.p2), ("p3", self.p3), ("p4", self.p4),
-        ]
+        return [(name, getattr(self, name)) for name in STAGES]
 
 
 def _stages(a, T, V, v, unit):
@@ -145,9 +144,8 @@ class GippsBlock:
 
     def case_words(self, i: int) -> list[tuple[str, int]]:
         """Stage words, va and cycles of case ``i``, in pipeline order."""
-        names = ("q", "f", "r", "s", "p1", "p2", "p3", "p4", "va", "cycles")
         return [(name, int(np.broadcast_to(getattr(self, name), self.va.shape)[i]))
-                for name in names]
+                for name in STAGES + ("va", "cycles")]
 
 
 def _sqrt_table(r):

@@ -195,7 +195,9 @@ def run_sweep(blocks: Iterable[Block], fh: BinaryIO) -> SweepSummary:
         err_total = float(np.add.accumulate(np.append(err_total, errs))[-1])   # in case order
         summary.max_abs_err = float(errs.max(initial=summary.max_abs_err))
         row = [join_rows([words[[a.raw, T.raw]]]), words[vstar], words[v], words[va]]
-        fh.write(join_rows(row + fixed_texts(ideal, 9, ",") + fixed_texts(errs, 9, "\n")))
+        row += fixed_texts(ideal, 9, ",") + fixed_texts(errs, 9, "\n")
+        del va, ideal, errs             # the fields hold the rows from here
+        fh.write(join_rows(row))
     summary.cycle_histogram = dict(hist)
     summary.max_sqrt_iterations = max(hist, default=2) - 2     # cycles = 2 + passes
     summary.mean_abs_err = err_total / summary.cases if summary.cases else 0.0

@@ -97,4 +97,6 @@ def join_rows(fields: list) -> bytes:
                    [("", np.asarray(f).dtype) for f in fields])
     for name, f in zip(rec.dtype.names, fields):
         rec[name] = f
-    return rec.tobytes().translate(None, b"\0")
+    data = rec.tobytes()
+    del rec                             # one copy of the rows before the strip, not two
+    return data.translate(None, b"\0")

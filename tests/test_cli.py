@@ -107,6 +107,20 @@ def test_sweep_bad_axis_keeps_existing_output(capsys, tmp_path, axis):
     assert out_csv.read_bytes() == b"keep me\n"
 
 
+@pytest.mark.parametrize("axis", [("--vstars", ""), ("--times", ",")])
+def test_sweep_empty_axis_entry_is_a_usage_error(capsys, tmp_path, axis):
+    """An empty entry in an axis fails its float conversion in argparse:
+    exit 2 before the output is opened."""
+    out_csv = tmp_path / "sweep.csv"
+    out_csv.write_bytes(b"keep me\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--out", str(out_csv), *axis])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {axis[0]}: could not convert string to float: ''\n")
+    assert out_csv.read_bytes() == b"keep me\n"
+
+
 def test_sweep_interrupted_mid_write_keeps_existing_output(monkeypatch, tmp_path):
     real = cli.run_sweep
 
