@@ -6,7 +6,7 @@ two-pass square root, then a four-multiply chain and the final add.
 The whole thing costs 2 + sqrt-passes = 4 clock cycles.
 """
 
-from gippsim.fxp import decode, encode
+from gippsim.fxp import Fx, decode, encode
 from gippsim.gipps import GippsOperands, gipps_reference, gipps_step
 
 a, t, vstar, v = 2.0, 0.5, 20.0, 7.3
@@ -18,12 +18,13 @@ print(f"quantized: a raw {ops.a.raw}, T raw {ops.T.raw}, "
       f"V* raw {ops.vstar.raw}, v raw {ops.v.raw}")
 print()
 print("pipeline stages:")
-for name, fx in res.stages():
-    print(f"  {name:<3} raw {fx.raw:6d} = {decode(fx):.6f}")
+*stages, _, _ = res.words()             # va and cycles come last
+for name, raw in stages:
+    print(f"  {name:<3} raw {raw:6d} = {decode(Fx(raw)):.6f}")
 print()
 print(f"va: raw {res.va.raw} = {decode(res.va):.6f}")
 print(f"cycles: {res.cycles} "
-      f"(2 fixed + {res.sqrt_trace.iterations} sqrt passes)")
+      f"(2 fixed + {res.cycles - 2} sqrt passes)")
 print()
 
 ideal = gipps_reference(a, t, vstar, v)

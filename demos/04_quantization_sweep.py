@@ -14,9 +14,17 @@ go to os.devnull.
 
 import os
 
-from gippsim.fxp import decode
-from gippsim.gipps import gipps_reference, gipps_step
-from gippsim.sweep import grid_blocks, grid_cases, run_sweep
+import numpy as np
+
+from gippsim.fxp import Fx, decode
+from gippsim.gipps import (
+    GippsOperands,
+    gipps_batch,
+    gipps_reference,
+    gipps_reference_block,
+    gipps_step,
+)
+from gippsim.sweep import grid_blocks, run_sweep
 
 with open(os.devnull, "wb") as devnull:
     summary = run_sweep(grid_blocks(vstars=(5.0, 20.0, 70.0)), devnull)
@@ -28,15 +36,11 @@ print()
 assert summary.passed, "datapath diverged from the oracle"
 
 print("error growth along one slice (a=5, T=1, V*=70):")
-cases = list(grid_cases(vstars=(70.0,), accels=(5.0,), times=(1.0,)))
-worst = max(
-    cases,
-    key=lambda ops: abs(
-        decode(gipps_step(ops).va)
-        - gipps_reference(decode(ops.a), decode(ops.T),
-                          decode(ops.vstar), decode(ops.v))
-    ),
-)
+a, t, vstar, v = next(grid_blocks(vstars=(70.0,), accels=(5.0,), times=(1.0,)))
+va = gipps_batch(a.raw, t.raw, vstar, v).va
+errs = np.abs(va / 64 - gipps_reference_block(decode(a), decode(t), vstar / 64, v / 64))
+i = int(errs.argmax())
+worst = GippsOperands(a, t, Fx(int(vstar[i])), Fx(int(v[i])))
 res = gipps_step(worst)
 ideal = gipps_reference(decode(worst.a), decode(worst.T),
                         decode(worst.vstar), decode(worst.v))

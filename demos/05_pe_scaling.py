@@ -6,12 +6,14 @@ latency (exactly, when P divides N) while the computed words stay
 bit-identical, because PE count is pure timing model.
 """
 
-import itertools
-
+from gippsim.fxp import Fx
+from gippsim.gipps import GippsOperands
 from gippsim.pearray import PeArrayConfig, dispatch_batch
-from gippsim.sweep import grid_cases
+from gippsim.sweep import grid_blocks
 
-batch = list(itertools.islice(grid_cases(), 1200))
+a, t, vstar, v = next(grid_blocks())    # the default grid's first block
+batch = [GippsOperands(a, t, Fx(vs), Fx(raw))
+         for vs, raw in zip(vstar[:1200].tolist(), v[:1200].tolist())]
 print(f"batch: {len(batch)} velocity updates, 250 MHz clock")
 print()
 print(f"{'P':>4} {'cycles':>8} {'time_us':>9} {'speedup':>8}")

@@ -72,11 +72,10 @@ def _pe_config(args: argparse.Namespace) -> PeArrayConfig:
 
 def cmd_step(args: argparse.Namespace) -> int:
     ops = GippsOperands(a=args.a, T=args.t, vstar=args.vstar, v=args.v)
-    res = gipps_step(ops)
-    for name, fx in res.stages():
-        print(f"{name:<3} raw={fx.raw:>6}  {decode(fx):>11.6f}")
-    print(f"va  raw={res.va.raw:>6}  {decode(res.va):>11.6f}")
-    print(f"cycles: {res.cycles}")
+    *words, (_, cycles) = gipps_step(ops).words()
+    for name, raw in words:
+        print(f"{name:<3} raw={raw:>6}  {decode(Fx(raw)):>11.6f}")
+    print(f"cycles: {cycles}")
     return 0
 
 

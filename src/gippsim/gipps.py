@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fxp
-from .fxp import Fx, SqrtTrace
+from .fxp import Fx
 
 K1 = Fx(160)   # 2.5, exact in Q8.6
 K2 = Fx(2)     # 0.025 quantized to the nearest word, 0.03125
@@ -78,7 +78,7 @@ def check_operands(a, T, vstar, v) -> None:
 @dataclass(frozen=True)
 class GippsResult:
     """One instruction's output word and latency, with every stage word
-    for audits and the CLI."""
+    for audits and the CLI, listed by ``words`` as ``GippsBlock.case_words`` lists a case."""
 
     va: Fx
     cycles: int
@@ -90,10 +90,10 @@ class GippsResult:
     p2: Fx           # p1 * T
     p3: Fx           # p2 * f
     p4: Fx           # p3 * s
-    sqrt_trace: SqrtTrace
 
-    def stages(self) -> list[tuple[str, Fx]]:
-        return [(name, getattr(self, name)) for name in STAGES]
+    def words(self) -> list[tuple[str, int]]:
+        """Raw stage words, va and cycles, in pipeline order."""
+        return [(n, getattr(self, n).raw) for n in STAGES + ("va",)] + [("cycles", self.cycles)]
 
 
 def _stages(a, T, V, v, unit):
@@ -119,7 +119,7 @@ def gipps_step(ops: GippsOperands) -> GippsResult:
     ops.validate()
     words, strace, _, _ = _stages(ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw, fxp.sqrt)
     va, *stage = map(Fx, words)
-    return GippsResult(va, 2 + strace.iterations, *stage, strace)
+    return GippsResult(va, 2 + strace.iterations, *stage)
 
 
 @dataclass(frozen=True)

@@ -112,10 +112,9 @@ def pipeline_oracle(ops: GippsOperands) -> GippsResult:
     ops.validate()
     a, T, V, v = ops.a.raw, ops.T.raw, ops.vstar.raw, ops.v.raw
     q, f, r, s, p1, p2, p3, p4, va, _, _ = _stages(a, T, V, v, lambda r: _ROOTS[r - 2])
-    strace = _TRACES[r - 2]
     return GippsResult(
-        Fx(va), 2 + strace.iterations,
-        Fx(q), Fx(f), Fx(r), Fx(s), Fx(p1), Fx(p2), Fx(p3), Fx(p4), strace,
+        Fx(va), 2 + _TRACES[r - 2].iterations,
+        Fx(q), Fx(f), Fx(r), Fx(s), Fx(p1), Fx(p2), Fx(p3), Fx(p4),
     )
 
 

@@ -6,12 +6,12 @@ it is the domain the accelerator is meant to serve, and the sweep is
 the evidence that the datapath is exact (vs the oracle) and how far
 quantization pulls it from the real-arithmetic update.
 
-The grid is evaluated one (a, T) block of at most BLOCK_ROWS cases at a
-time (12 blocks, so 12 sqrt tables, on the default grid): every case of
-a block goes through the array datapath, the oracle's array form and the
-ideal at once, as int64 and float64 arrays.  Nothing holds the whole
-grid; each block's rows are one numpy record array of ``text`` fields,
-written to a binary file as bytes.
+``grid_blocks`` is the grid's one iterator: one (a, T) block of at most
+BLOCK_ROWS cases at a time (12 blocks, so 12 sqrt tables, on the default
+grid).  Every case of a block goes through the array datapath, the
+oracle's array form and the ideal at once, as int64 and float64 arrays.
+Nothing holds the whole grid; each block's rows are one numpy record
+array of ``text`` fields, written to a binary file as bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from .fxp import RAW_MAX, SCALE, ZERO, Fx, decode, encode
 from .gipps import (
     GippsOperands,
-    GippsResult,
     gipps_batch,
     gipps_reference,
     gipps_reference_block,
@@ -81,21 +80,6 @@ def grid_blocks(
     return ((a, t, *block(words)) for a in ea for t in et for words in groups if words)
 
 
-def grid_cases(
-    vstars: Iterable[float] = DEFAULT_VSTARS,
-    accels: Iterable[float] = DEFAULT_ACCELS,
-    times: Iterable[float] = DEFAULT_TIMES,
-    v_equals_vstar: bool = False,
-) -> Iterator[GippsOperands]:
-    """The grid's operand sets one at a time, in ``grid_blocks`` order
-    and with its up-front checks."""
-    return (
-        GippsOperands(a, t, Fx(vs), Fx(v))
-        for a, t, vstar, v_block in grid_blocks(vstars, accels, times, v_equals_vstar)
-        for vs, v in zip(vstar.tolist(), v_block.tolist())
-    )
-
-
 @dataclass
 class SweepSummary:
     cases: int = 0
@@ -129,10 +113,6 @@ class SweepSummary:
         ]
 
 
-def _result_words(res: GippsResult) -> list[tuple[str, int]]:
-    return [(n, fx.raw) for n, fx in res.stages()] + [("va", res.va.raw), ("cycles", res.cycles)]
-
-
 def _first_difference(ours: list[tuple[str, int]], theirs: list[tuple[str, int]]) -> str | None:
     for (name, x), (_, y) in zip(ours, theirs):
         if x != y:
@@ -145,7 +125,7 @@ def _mismatch_report(ops: GippsOperands, words: list[tuple[str, int]],
     """The first mismatching case, where its block evaluation differs,
     and the same case re-run through the scalar datapath and oracle."""
     x = [decode(ops.a), decode(ops.T), decode(ops.vstar), decode(ops.v)]
-    scalar = _first_difference(_result_words(gipps_step(ops)), _result_words(pipeline_oracle(ops)))
+    scalar = _first_difference(gipps_step(ops).words(), pipeline_oracle(ops).words())
     return [
         f"first mismatch: a={x[0]:.6f} T={x[1]:.6f} vstar={x[2]:.6f} v={x[3]:.6f} "
         f"(raw {ops.a.raw} {ops.T.raw} {ops.vstar.raw} {ops.v.raw}; "

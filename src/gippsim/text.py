@@ -92,11 +92,12 @@ def _percent_texts(x: np.ndarray, places: int, end: str) -> np.ndarray:
 
 def join_rows(fields: list) -> bytes:
     """Rows of the fields side by side, each a bytes array (one text per row)
-    or one bytes constant, with every NUL (numpy's padding) dropped."""
+    or one bytes constant, with every NUL (numpy's padding) dropped; consumes ``fields``."""
     rec = np.empty(max(len(f) for f in fields if isinstance(f, np.ndarray)),
                    [("", np.asarray(f).dtype) for f in fields])
     for name, f in zip(rec.dtype.names, fields):
         rec[name] = f
+    fields.clear()                      # the record is the rows' one copy from here
     data = rec.tobytes()
     del rec                             # one copy of the rows before the strip, not two
     return data.translate(None, b"\0")

@@ -30,6 +30,34 @@ def test_step_prints_trace(capsys):
         assert any(line.startswith(stage + " ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize("flags, lines", [
+    (["--a", "2.0", "--t", "0.5", "--vstar", "20.0", "--v", "0.0"], [
+        "q   raw=     0     0.000000",
+        "f   raw=    64     1.000000",
+        "r   raw=     2     0.031250",
+        "s   raw=    11     0.171875",
+        "p1  raw=   320     5.000000",
+        "p2  raw=   160     2.500000",
+        "p3  raw=   160     2.500000",
+        "p4  raw=    28     0.437500",
+        "va  raw=    28     0.437500",
+        "cycles: 4"]),
+    (["--a", "255.984375", "--t", "255.984375", "--vstar", "255.984375", "--v", "100"], [
+        "q   raw=    25     0.390625",
+        "f   raw=    39     0.609375",
+        "r   raw=    27     0.421875",
+        "s   raw=    41     0.640625",
+        "p1  raw= 16383   255.984375",          # p1 and p2 clamp
+        "p2  raw= 16383   255.984375",
+        "p3  raw=  9983   155.984375",
+        "p4  raw=  6395    99.921875",
+        "va  raw= 12795   199.921875",
+        "cycles: 4"]),
+], ids=["from-rest", "p1-p2-clamp"])
+def test_step_prints_every_stage_va_and_cycles(capsys, flags, lines):
+    assert run_cli(capsys, "step", *flags) == (0, "".join(line + "\n" for line in lines), "")
+
+
 def test_step_at_desired_speed(capsys):
     code, out, _ = run_cli(capsys, "step", "--a", "2.0", "--t", "1.0",
                            "--vstar", "20.0", "--v", "20.0")

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from gippsim.fxp import Fx
@@ -10,11 +8,13 @@ from gippsim.pearray import (
     PeArrayConfig,
     dispatch_batch,
 )
-from gippsim.sweep import grid_cases
+from gippsim.sweep import grid_blocks
 
 
 def small_batch(n):
-    return list(itertools.islice(grid_cases(), n))
+    a, t, vstar, v = next(grid_blocks())
+    return [GippsOperands(a, t, Fx(vs), Fx(raw))
+            for vs, raw in zip(vstar[:n].tolist(), v[:n].tolist())]
 
 
 def test_results_match_sequential_execution():

@@ -4,9 +4,11 @@ Each example must exit 0 and print the lines README quotes under it, in
 order: a quoted ``...`` stands for any run of lines, and the host-bound
 fields of ``bench`` are skipped by name, in the quote and the output.
 An example that quotes no output only has to exit 0.  Outputs named by
-``--out`` land in a temporary directory.
+``--out`` land in a temporary directory.  README's CLI table lists each
+subcommand's long flags as the parser defines them.
 """
 
+import argparse
 import re
 import shlex
 from collections import Counter
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gippsim.cli import main
+from gippsim.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 HOST_BOUND = {"bench": {"host", "host_ns_per_op", "modeled_ratio"}}
@@ -59,3 +61,14 @@ def test_readme_example(capsys, monkeypatch, tmp_path, argv, quoted):
                       for line in quoted)
     assert re.fullmatch(pattern, "".join(line + "\n" for line in printed)), \
         f"README quotes {quoted}, gippsim printed {printed}"
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `([a-z]+)` \|(.*)\|$", README.read_text(encoding="utf-8"), re.M)
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    table = {cmd: sorted(re.findall(r"`(--[a-z-]+)`", flags)) for cmd, flags in rows}
+    assert table == {
+        cmd: sorted(opt for action in p._actions for opt in action.option_strings
+                    if opt.startswith("--") and opt != "--help")
+        for cmd, p in subparsers.items()}

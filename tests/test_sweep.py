@@ -30,7 +30,7 @@ from gippsim.gipps import (
     gipps_step,
 )
 from gippsim.oracle import block_oracle, pipeline_oracle
-from gippsim.sweep import CSV_HEADER, grid_blocks, grid_cases, run_sweep
+from gippsim.sweep import CSV_HEADER, grid_blocks, run_sweep
 
 STAGES = ("q", "f", "r", "s", "p1", "p2", "p3", "p4")
 
@@ -69,7 +69,7 @@ def per_case_sweep(cases):
         err_total += err
         if err > max_err:
             max_err = err
-        max_it = max(max_it, res.sqrt_trace.iterations)
+        max_it = max(max_it, fxp.sqrt(res.r.raw)[1].iterations)
         hist[res.cycles] += 1
         n += 1
         rows.append(
@@ -112,10 +112,7 @@ def each_case(block):
 def test_block_datapath_equals_gipps_step(block):
     res = gipps_batch(*block)
     for i, ops in enumerate(each_case(block)):
-        one = gipps_step(ops)
-        want = [(name, fx.raw) for name, fx in one.stages()]
-        want += [("va", one.va.raw), ("cycles", one.cycles)]
-        assert res.case_words(i) == want
+        assert res.case_words(i) == gipps_step(ops).words()
         assert (bool(res.clamped[i]), bool(res.va_clamped[i])) == scalar_saturated(ops)
 
 
@@ -128,10 +125,7 @@ def test_block_oracle_equals_pipeline_oracle(block):
     assert np.array_equal(ref.clamped, res.clamped)
     assert np.array_equal(ref.va_clamped, res.va_clamped)
     for i, ops in enumerate(each_case(block)):
-        one = pipeline_oracle(ops)
-        want = [(name, fx.raw) for name, fx in one.stages()]
-        want += [("va", one.va.raw), ("cycles", one.cycles)]
-        assert ref.case_words(i) == want
+        assert ref.case_words(i) == pipeline_oracle(ops).words()
 
 
 def test_block_entries_check_operands():
@@ -169,7 +163,7 @@ def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
                 times=[w / 64 for w in times], v_equals_vstar=v_equals_vstar)
     fh = io.BytesIO()
     summary = run_sweep(grid_blocks(**axes), fh)
-    want_csv, want_lines = per_case_sweep(grid_cases(**axes))
+    want_csv, want_lines = per_case_sweep(spelled_out_grid(**axes))
     # as lists of lines, so that a failure names the first differing row quickly
     assert fh.getvalue().splitlines(keepends=True) == want_csv.encode().splitlines(keepends=True)
     assert summary.lines()[:6] == want_lines
@@ -196,7 +190,7 @@ def test_run_sweep_writes_header_then_one_write_per_block():
     assert n_blocks == 4
     assert len(fh.writes) == 1 + n_blocks
     assert fh.writes[0] == (CSV_HEADER + "\n").encode()
-    want = per_case_sweep(grid_cases(**axes))[0]
+    want = per_case_sweep(spelled_out_grid(**axes))[0]
     # as lists of lines, so that a failure names the first differing row quickly
     assert b"".join(fh.writes).splitlines(keepends=True) == want.encode().splitlines(keepends=True)
 
@@ -307,15 +301,6 @@ def test_decimals_9_ends_and_range():
         assert text.decimals(np.array([1.0, bad]), 9) is None
 
 
-def test_grid_cases_flattens_grid_blocks():
-    cases = list(grid_cases(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0)))
-    flat = [GippsOperands(a, t, Fx(vs), Fx(raw))
-            for a, t, vstar, v in grid_blocks(vstars=(0.5, 1.0), accels=(2.0,), times=(0.25, 1.0))
-            for vs, raw in zip(vstar.tolist(), v.tolist())]
-    assert cases == flat
-    assert len(cases) == 2 * (33 + 65)
-
-
 def spelled_out_grid(vstars=sweep.DEFAULT_VSTARS, accels=sweep.DEFAULT_ACCELS,
                      times=sweep.DEFAULT_TIMES, v_equals_vstar=False):
     """The grid's cases in CSV order: a, then T, then V*, then v."""
@@ -346,7 +331,7 @@ def test_grid_blocks_hold_one_a_t_pair_and_at_most_block_rows(axes, n_pairs, row
     flat = [GippsOperands(a, t, Fx(vs), Fx(raw))
             for a, t, vstar, v in blocks
             for vs, raw in zip(vstar.tolist(), v.tolist())]
-    assert flat == spelled_out_grid(**axes) == list(grid_cases(**axes))
+    assert flat == spelled_out_grid(**axes)
 
 
 def test_run_sweep_matches_per_case_loop_across_the_row_cap():
@@ -354,18 +339,19 @@ def test_run_sweep_matches_per_case_loop_across_the_row_cap():
     assert [len(v) for _, _, _, v in grid_blocks(**axes)] == [16384, 33 + 65, 16384]
     fh = io.BytesIO()
     summary = run_sweep(grid_blocks(**axes), fh)
-    want_csv, want_lines = per_case_sweep(grid_cases(**axes))
+    want_csv, want_lines = per_case_sweep(spelled_out_grid(**axes))
     assert fh.getvalue().splitlines(keepends=True) == want_csv.encode().splitlines(keepends=True)
     assert summary.lines()[:6] == want_lines
 
 
 def test_default_sweep_keeps_only_what_it_writes():
-    """A block holds its rows at most three times while it is written: its
-    text fields, and two of the joined record, its bytes and the NUL-stripped
-    copy; never the datapath's and the oracle's stage arrays.  Measured peak
-    with numpy 2.4.6: 2.31 MiB (3.23 MiB when the record stayed alive through
-    the strip, 4.31 MiB when both results did too); the bound leaves 8%
-    margin."""
+    """A block holds its rows at most twice while it is written: the joined
+    record and its bytes, then the bytes and the NUL-stripped copy, since
+    ``join_rows`` empties the list of text fields once the record is filled;
+    never the datapath's and the oracle's stage arrays.  Measured peak with numpy
+    2.4.6: 1.78 MiB (2.31 MiB when the fields stayed alive through the join,
+    3.23 MiB when the record did through the strip too, 4.31 MiB when both
+    results did too); the bound leaves 12% margin."""
     run_sweep(grid_blocks(vstars=(5.0,)), io.BytesIO())     # digit tables are built once
     with open(os.devnull, "wb") as fh:
         tracemalloc.start()
@@ -374,7 +360,7 @@ def test_default_sweep_keeps_only_what_it_writes():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 2.5 * 2**20
+    assert peak < 2.0 * 2**20
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +374,7 @@ def test_saturated_cases_counts_clamps(capsys, tmp_path, default_grid):
     assert main(argv) == 0                       # saturation is reported, not failed
     out = capsys.readouterr().out
     recount = sum(any(scalar_saturated(ops))
-                  for ops in grid_cases(vstars=(5.0,), accels=(200.0,), times=(1.0,)))
+                  for ops in spelled_out_grid(vstars=(5.0,), accels=(200.0,), times=(1.0,)))
     assert recount == 321
     assert f"saturated_cases: {recount}" in out.splitlines()
     assert default_grid.lines()[-1] == "saturated_cases: 0"
