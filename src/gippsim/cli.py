@@ -103,8 +103,8 @@ def _replacing(path: str) -> Iterator[BinaryIO]:
     """Yield a new binary file beside ``path``: moved over ``path`` on
     success, removed on any exception (KeyboardInterrupt included).  A
     device or FIFO such as /dev/null is written in place."""
-    in_place = os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)     # replace a symlink's target, not the link
+    in_place = os.path.exists(target) and not os.path.isfile(target)
     name = path if in_place else f"{target}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
         fh = open(name, "wb" if in_place else "xb")

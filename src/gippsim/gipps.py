@@ -78,7 +78,7 @@ def check_operands(a, T, vstar, v) -> None:
 @dataclass(frozen=True)
 class GippsResult:
     """One instruction's output word and latency, with every stage word
-    for audits and the CLI, listed by ``words`` as ``GippsBlock.case_words`` lists a case."""
+    for audits and the CLI; ``GippsBlock.case`` reads one from a batch."""
 
     va: Fx
     cycles: int
@@ -142,10 +142,11 @@ class GippsBlock:
     clamped: np.ndarray
     va_clamped: np.ndarray
 
-    def case_words(self, i: int) -> list[tuple[str, int]]:
-        """Stage words, va and cycles of case ``i``, in pipeline order."""
-        return [(name, int(np.broadcast_to(getattr(self, name), self.va.shape)[i]))
-                for name in STAGES + ("va", "cycles")]
+    def case(self, i: int | tuple[int, ...] = ()) -> GippsResult:
+        """Case ``i``'s result, in Python ints (``()`` for a batch of one)."""
+        words = np.broadcast_arrays(*(getattr(self, n) for n in ("va", "cycles") + STAGES))
+        va, cycles, *stage = (int(w[i]) for w in words)
+        return GippsResult(Fx(va), cycles, *map(Fx, stage))
 
 
 def _sqrt_table(r):

@@ -81,6 +81,8 @@ class SimConfig:
             raise ConfigError("n_steps must be >= 1")
         if self.n_vehicles < 1:
             raise ConfigError("n_vehicles must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         lead = (self.n_vehicles - 1) * self.initial_spacing_m     # the leader's start
         if not (self.initial_spacing_m >= 0.0 and np.isfinite(lead)):     # 0 * inf is nan
             raise ConfigError("initial_spacing_m must be >= 0 and (n_vehicles - 1) * it finite")

@@ -163,7 +163,7 @@ def run_sweep(blocks: Iterable[Block], fh: BinaryIO) -> SweepSummary:
                 i = int(bad.argmax())
                 summary.mismatch_report = _mismatch_report(
                     GippsOperands(a, T, Fx(int(vstar[i])), Fx(int(v[i]))),
-                    res.case_words(i), ref.case_words(i))
+                    res.case(i).words(), ref.case(i).words())
         for c, n in zip(*np.unique(res.cycles, return_counts=True)):
             hist[int(c)] += int(n)
         summary.saturated_cases += int(np.count_nonzero(res.clamped | res.va_clamped))

@@ -206,6 +206,39 @@ def test_sim_bad_operands_fail_before_output_is_opened(capsys, monkeypatch, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, entry", [("sweep", "run_sweep"), ("sim", "write_trace_csv")])
+def test_empty_out_fails_before_any_compute(capsys, monkeypatch, tmp_path, command, entry):
+    """``--out ""`` names the working directory, which is opened in place
+    and fails: no run starts and no temp file lands beside or above it."""
+    entered = []
+    monkeypatch.setattr(cli, entry, lambda *args: entered.append(args))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run_cli(capsys, command, "--out", "")
+    assert code == 1
+    assert (out, err) == ("", "i/o error: [Errno 2] No such file or directory: ''\n")
+    assert entered == []
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", [("--seed", "-1"), ("--config", "seed = -1\n")],
+                         ids=["flag", "file"])
+def test_sim_negative_seed_keeps_existing_output(capsys, tmp_path, source):
+    argv = list(source)
+    if argv[0] == "--config":
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(argv[1], encoding="utf-8")
+        argv[1] = str(cfg)
+    out_csv = tmp_path / "trace.csv"
+    out_csv.write_bytes(b"keep me\n")
+    code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), *argv)
+    assert code == 1
+    assert err == "error: seed must be >= 0\n"
+    assert out_csv.read_bytes() == b"keep me\n"
+
+
 def test_output_replaces_symlink_target(capsys, tmp_path):
     target = tmp_path / "trace.csv"
     target.write_bytes(b"old\n")

@@ -51,8 +51,9 @@ def test_quotient_on_all_legal_velocity_pairs():
 def test_sqrt_unit_on_every_radicand_the_update_makes():
     for r in range(2, 67):                 # 2 + q for q in 0..64
         root, trace = fxp.sqrt(r)
-        assert root == oracle.floor_isqrt(r * 64) == oracle._ROOTS[r - 2]
-        assert trace == oracle._sqrt_unit_trace(r) == oracle._TRACES[r - 2]
+        assert root == oracle.floor_isqrt(r * 64) == oracle._ROOT_WORDS[r - 2]
+        assert trace == oracle._sqrt_unit_trace(r)
+        assert trace.iterations == oracle._PASSES[r - 2]
         assert trace.iterations == 2
 
 

@@ -3,7 +3,9 @@
 No linter runs offline, so this reads each module of the package, the
 tests and the demos with ``ast``: a name bound by an import must appear
 as a name elsewhere in that file.  A ``# noqa`` on the import statement
-exempts it, for an import kept for another module to patch.
+exempts it, for an import kept for another module to patch.  In the
+same way, every private name a module of the package binds at its top
+level (``_name``, by def, class or assignment) is read in that module.
 
 Importing the CLI also builds no digit table of ``text``'s number path:
 they are built on first use, so start-up does not pay for them.
@@ -42,6 +44,33 @@ def test_every_imported_name_is_used():
         for path in sorted((ROOT / folder).glob("*.py")):
             if unused := unused_imports(path):
                 found[str(path.relative_to(ROOT))] = unused
+    assert found == {}
+
+
+def unread_privates(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_private_name_is_read_in_its_module():
+    found = {}
+    for path in sorted((ROOT / "src/gippsim").glob("*.py")):
+        if unread := unread_privates(path):
+            found[path.name] = unread
     assert found == {}
 
 

@@ -470,6 +470,8 @@ def test_config_validation():
         SimConfig(n_steps=0)
     with pytest.raises(ConfigError):
         SimConfig(n_vehicles=0)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
     with pytest.raises(ConfigError):
         SimConfig(initial_spacing_m=-1.0)
     for spacing in (math.nan, math.inf, -math.inf):
