@@ -7,9 +7,9 @@ instruction sit a PE-array batch dispatcher with exact cycle
 accounting, a single-lane traffic workload, an independent
 integer-arithmetic verification oracle, and a benchmark harness.
 
-Import from the submodules: ``fxp`` (Q8.6 words and ops), ``gipps``
-(the instruction), ``oracle``, ``pearray``, ``sim``, ``sweep`` and
-``cli``.
+Import from the submodules: ``fxp`` (Q8.6 words and ops), ``text``
+(the CSVs' number texts), ``gipps`` (the instruction), ``oracle``,
+``pearray``, ``sim``, ``sweep`` and ``cli``.
 """
 
 __version__ = "0.1.0"

@@ -236,7 +236,7 @@ def write_trace_csv(blocks: Iterable[tuple[int, np.ndarray, np.ndarray]], fh: Bi
     step, vehicle, velocity, position and gap; the bytes are those of
     ``format_trace`` on the same run's rows.
     """
-    words = word_texts(",")
+    words = word_texts()
     fh.write((TRACE_HEADER + "\n").encode())
     for first, vels, pos in blocks:
         k, n = vels.shape

@@ -151,7 +151,7 @@ def run_sweep(blocks: Iterable[Block], fh: BinaryIO) -> SweepSummary:
     summary = SweepSummary()
     hist: Counter[int] = Counter()
     err_total = 0.0
-    words = word_texts(",")
+    words = word_texts()
     fh.write((CSV_HEADER + "\n").encode())
     for a, T, vstar, v in blocks:
         res = gipps_batch(a.raw, T.raw, vstar, v)

@@ -11,14 +11,16 @@ import numpy as np
 from .fxp import RAW_MAX, SCALE
 
 
-def word_texts(end: str = "") -> np.ndarray:
-    """The ``"%.6f"`` text of every word's value plus ``end``, a bytes array
-    indexed by raw: 256 integer parts by 64 fractions, since raw / 64 has at
-    most six decimals.  A short integer part leaves NULs inside a text."""
-    texts = np.empty(((RAW_MAX + 1) // SCALE, SCALE), [("i", "S3"), ("f", f"S{7 + len(end)}")])
+@functools.cache
+def word_texts() -> np.ndarray:
+    """The ``"%.6f,"`` text of each word's value, a read-only bytes array by
+    raw, built once: 256 integer parts by 64 fractions (raw / 64 has at most
+    six decimals).  A short integer part leaves NULs inside a text."""
+    texts = np.empty(((RAW_MAX + 1) // SCALE, SCALE), [("i", "S3"), ("f", "S8")])
     texts["i"] = np.arange((RAW_MAX + 1) // SCALE).astype("S3")[:, None]
-    texts["f"] = [".%06d%s" % (k * 10**6 // SCALE, end) for k in range(SCALE)]
-    return texts.ravel().view(f"S{10 + len(end)}")
+    texts["f"] = [".%06d," % (k * 10**6 // SCALE) for k in range(SCALE)]
+    texts.flags.writeable = False
+    return texts.ravel().view("S11")
 
 
 def decimals(x: np.ndarray, places: int) -> np.ndarray | None:

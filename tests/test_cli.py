@@ -223,9 +223,10 @@ def test_empty_out_fails_before_any_compute(capsys, monkeypatch, tmp_path, comma
     assert list(work.iterdir()) == []
 
 
-@pytest.mark.parametrize("source", [("--seed", "-1"), ("--config", "seed = -1\n")],
-                         ids=["flag", "file"])
-def test_sim_negative_seed_keeps_existing_output(capsys, tmp_path, source):
+def sim_over_kept_output(capsys, tmp_path, source):
+    """``gippsim sim`` over an existing output, given the flags ``source`` or,
+    after ``--config``, a file holding its text: the exit code and stderr,
+    once the output is shown untouched and no file is left beside it."""
     argv = list(source)
     if argv[0] == "--config":
         cfg = tmp_path / "sim.cfg"
@@ -234,9 +235,21 @@ def test_sim_negative_seed_keeps_existing_output(capsys, tmp_path, source):
     out_csv = tmp_path / "trace.csv"
     out_csv.write_bytes(b"keep me\n")
     code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), *argv)
-    assert code == 1
-    assert err == "error: seed must be >= 0\n"
     assert out_csv.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["trace.csv"] + (["sim.cfg"] if argv[0] == "--config" else []))
+    return code, err
+
+
+@pytest.mark.parametrize("source, error", [
+    (("--seed", "-1"), "seed must be >= 0"),
+    (("--config", "seed = -1\n"), "seed must be >= 0"),
+    (("--step-t", "300"), "step_t not representable: 300.0 outside [0, 255.984375]"),
+    (("--config", "step_t = 300\n"), "step_t not representable: 300.0 outside [0, 255.984375]"),
+], ids=["flag", "file", "step-t-flag", "step-t-file"])
+def test_sim_negative_seed_keeps_existing_output(capsys, tmp_path, source, error):
+    """A negative seed, or a step time the format cannot hold."""
+    assert sim_over_kept_output(capsys, tmp_path, source) == (1, f"error: {error}\n")
 
 
 def test_output_replaces_symlink_target(capsys, tmp_path):
@@ -371,19 +384,9 @@ def test_sim_invalid_config_value(capsys, tmp_path):
     ("--config", "n_vehicles = 1\ninitial_spacing_m = inf\n"),
 ], ids=["flag-nan", "flag-inf", "flag-overflow", "file-nan", "file-inf-one-vehicle"])
 def test_sim_non_finite_spacing_keeps_existing_output(capsys, tmp_path, source):
-    argv = list(source)
-    if argv[0] == "--config":
-        cfg = tmp_path / "sim.cfg"
-        cfg.write_text(argv[1], encoding="utf-8")
-        argv[1] = str(cfg)
-    out_csv = tmp_path / "trace.csv"
-    out_csv.write_bytes(b"keep me\n")
-    code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), *argv)
+    code, err = sim_over_kept_output(capsys, tmp_path, source)
     assert code == 1
     assert err.startswith("error: initial_spacing_m must be >= 0 and ")
-    assert out_csv.read_bytes() == b"keep me\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["trace.csv"] + (["sim.cfg"] if argv[0] == "--config" else []))
 
 
 def test_bench_reports_modeled_and_host(capsys):
@@ -405,6 +408,7 @@ def test_bench_rejects_few_iterations(capsys):
     code, _, err = run_cli(capsys, "bench", "--iterations", "50")
     assert code == 1
     assert "iterations" in err
+    assert run_cli(capsys, "bench", "--n-ops", "0") == (1, "", "error: n_ops must be >= 1\n")
 
 
 def test_console_script_installed():

@@ -5,7 +5,8 @@ order: a quoted ``...`` stands for any run of lines, and the host-bound
 fields of ``bench`` are skipped by name, in the quote and the output.
 An example that quotes no output only has to exit 0.  Outputs named by
 ``--out`` land in a temporary directory.  README's CLI table lists each
-subcommand's long flags as the parser defines them.
+subcommand's long flags as the parser defines them, and its Layout block
+and the package docstring each name every module of the package.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import gippsim
 from gippsim.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,3 +74,11 @@ def test_readme_flag_table_matches_the_parser():
         cmd: sorted(opt for action in p._actions for opt in action.option_strings
                     if opt.startswith("--") and opt != "--help")
         for cmd, p in subparsers.items()}
+
+
+def test_layout_and_package_docstring_name_every_module():
+    modules = {p.stem for p in (README.parent / "src" / "gippsim").glob("*.py")} - {"__init__"}
+    layout = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    assert set(re.findall(r"^  (\w+)\.py ", layout, re.M)) == modules
+    listed = gippsim.__doc__.split("Import from the submodules:", 1)[1]
+    assert set(re.findall(r"``(\w+)``", listed)) == modules

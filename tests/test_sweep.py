@@ -12,7 +12,6 @@ import math
 import os
 import tracemalloc
 from collections import Counter
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -31,8 +30,7 @@ from gippsim.gipps import (
 )
 from gippsim.oracle import block_oracle, pipeline_oracle
 from gippsim.sweep import CSV_HEADER, grid_blocks, run_sweep
-
-STAGES = ("q", "f", "r", "s", "p1", "p2", "p3", "p4")
+from gippsim.text import fixed_texts, join_rows
 
 
 def scalar_saturated(ops):
@@ -107,6 +105,7 @@ def each_case(block):
 
 @given(blocks())
 @example((12800, 64, 320, np.arange(321, dtype=np.int64)))              # p1 clamps
+@example((64, 16383, 320, np.arange(321, dtype=np.int64)))              # only p2 clamps
 @example((16383, 16383, 16383, np.array([0, 8000, 16383])))             # va clamps
 @example((6500, 64, 16383, np.array([0, 16000, 16383])))                # only va clamps
 def test_block_datapath_equals_gipps_step(block):
@@ -120,6 +119,7 @@ def test_block_datapath_equals_gipps_step(block):
 
 @given(blocks())
 @example((12800, 64, 320, np.arange(321, dtype=np.int64)))
+@example((64, 16383, 320, np.arange(321, dtype=np.int64)))
 @example((6500, 64, 16383, np.array([0, 16000, 16383])))
 def test_block_oracle_equals_pipeline_oracle(block):
     ref = block_oracle(*block)
@@ -162,6 +162,7 @@ axis_words = st.lists(st.integers(0, RAW_MAX), min_size=1, max_size=2)
 @example(accels=[12800], times=[64], vstars=[320], v_equals_vstar=False)     # saturating
 @example(accels=[64, 320], times=[32, 64], vstars=[320, 1280], v_equals_vstar=True)
 @example(accels=[16383], times=[16383], vstars=[12800], v_equals_vstar=False)  # ideal > 1000
+@example(accels=[64], times=[16], vstars=[16383, 32, 64, 16383], v_equals_vstar=False)  # row cap
 def test_run_sweep_matches_per_case_loop(accels, times, vstars, v_equals_vstar):
     axes = dict(vstars=[w / 64 for w in vstars], accels=[w / 64 for w in accels],
                 times=[w / 64 for w in times], v_equals_vstar=v_equals_vstar)
@@ -250,59 +251,13 @@ def test_fixed_texts_equal_percent_texts_rounding_up_to_1000(monkeypatch):
     assert got.getvalue().count(b",1000.000000000,") == 33 + 65
 
 
-def nine_decimal_texts(x):
-    """``decimals(x, 9)`` as the text it stands for, one string per value."""
-    x = np.asarray(x, dtype=np.float64)
-    return ["-" * s + "%d.%09d" % divmod(k, 10**9)
-            for s, k in zip(np.signbit(x).tolist(), text.decimals(x, 9).tolist())]
-
-
-def exact_tie_distance(x):
-    """|frac(|x| * 10**9) - 1/2| in exact arithmetic."""
-    y = Fraction(abs(x)) * 10**9
-    return abs(y - math.floor(y) - Fraction(1, 2))
-
-
 def test_decimals_9_on_default_grid():
     for a, t, vstar, v in grid_blocks():
         ideal = gipps_reference_block(decode(a), decode(t), vstar / 64, v / 64)
         errs = np.abs(gipps_batch(a.raw, t.raw, vstar, v).va / 64 - ideal)
         for x in (ideal, errs):
-            assert nine_decimal_texts(x) == ["%.9f" % y for y in x.tolist()]
-
-
-@given(st.lists(st.floats(0.0, 1000.0, exclude_max=True), min_size=1, max_size=50))
-def test_decimals_9_on_floats(xs):
-    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
-
-
-def test_decimals_9_on_exact_ties():
-    ties = np.concatenate([np.arange(1, 1024, 2) / 1024 + m for m in (0, 1, 7, 255, 512, 999)])
-    assert all(exact_tie_distance(x) == 0 for x in ties.tolist())
-    assert nine_decimal_texts(ties) == ["%.9f" % x for x in ties.tolist()]
-    assert nine_decimal_texts(-ties) == ["%.9f" % x for x in (-ties).tolist()]
-
-
-def test_decimals_9_near_ties():
-    """Floats a few ulps from a tie, where x * 1e9 often rounds onto the tie."""
-    rng = np.random.Generator(np.random.PCG64(22))
-    centres = (rng.integers(0, 10**12, 400) + 0.5) / 1e9
-    xs = np.concatenate([centres] + [np.nextafter(centres, s * np.inf) for s in (-1, 1)])
-    xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
-    y = xs * 1e9
-    false_ties = [x for x, tie in zip(xs.tolist(), (np.abs(y - np.rint(y)) == 0.5).tolist())
-                  if tie and exact_tie_distance(x) != 0]
-    assert len(false_ties) > 1000
-    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs.tolist()]
-
-
-def test_decimals_9_ends_and_range():
-    xs = [0.0, 5e-10, 1.5e-9, 999.9999999994, 999.9999999995, np.nextafter(1000.0, 0.0),
-          1000.0, -0.0, -1e-12, -2.5e-9, np.nextafter(2.0**52 / 1e9, 0.0)]
-    assert nine_decimal_texts(xs) == ["%.9f" % x for x in xs]
-    assert nine_decimal_texts(xs)[5] == "1000.000000000"
-    for bad in (2.0**52 / 1e9, -(2.0**52) / 1e9, np.inf, np.nan):
-        assert text.decimals(np.array([1.0, bad]), 9) is None
+            texts = join_rows(fixed_texts(x, 9, "\n")).decode().splitlines()
+            assert texts == ["%.9f" % y for y in x.tolist()]
 
 
 def spelled_out_grid(vstars=sweep.DEFAULT_VSTARS, accels=sweep.DEFAULT_ACCELS,
@@ -336,16 +291,6 @@ def test_grid_blocks_hold_one_a_t_pair_and_at_most_block_rows(axes, n_pairs, row
             for a, t, vstar, v in blocks
             for vs, raw in zip(vstar.tolist(), v.tolist())]
     assert flat == spelled_out_grid(**axes)
-
-
-def test_run_sweep_matches_per_case_loop_across_the_row_cap():
-    axes = dict(vstars=(255.984375, 0.5, 1.0, 255.984375), accels=(1.0,), times=(0.25,))
-    assert [len(v) for _, _, _, v in grid_blocks(**axes)] == [16384, 33 + 65, 16384]
-    fh = io.BytesIO()
-    summary = run_sweep(grid_blocks(**axes), fh)
-    want_csv, want_lines = per_case_sweep(spelled_out_grid(**axes))
-    assert fh.getvalue().splitlines(keepends=True) == want_csv.encode().splitlines(keepends=True)
-    assert summary.lines()[:6] == want_lines
 
 
 def test_default_sweep_keeps_only_what_it_writes():

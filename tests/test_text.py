@@ -11,11 +11,10 @@ from gippsim.text import fixed_texts, int_texts, join_rows, word_texts
 
 
 def test_word_texts_format_every_word():
-    assert word_texts().dtype == "S10"
-    texts = join_rows([word_texts(), b"\n"]).decode("ascii").splitlines()
-    assert texts == [f"{raw / 64:.6f}" for raw in range(RAW_MAX + 1)]
-    with_end = join_rows([word_texts(",")]).decode("ascii")
-    assert with_end == "".join(f"{raw / 64:.6f}," for raw in range(RAW_MAX + 1))
+    table = word_texts()
+    assert table is word_texts() and table.dtype == "S11" and not table.flags.writeable
+    texts = join_rows([table]).decode("ascii")
+    assert texts == "".join(f"{raw / 64:.6f}," for raw in range(RAW_MAX + 1))
 
 
 def six_decimal_texts(x):
@@ -74,24 +73,55 @@ def test_decimals_on_floats_up_to_2_52(places, data):
 
 
 @pytest.mark.parametrize("places", [6, 9])
-def test_decimals_next_to_ties(places):
-    """The neighbours of (k + 1/2) / 10**p: x * 10**p often rounds onto
-    the tie, and Dekker's error says which way the exact product lies."""
-    rng = np.random.Generator(np.random.PCG64(23))
-    ks = np.concatenate([rng.integers(0, 10**k, 300) for k in (3, 8, 12, 15)])
-    centres = (ks + 0.5) / 10**places
-    xs = np.concatenate([centres] + [np.nextafter(centres, s * np.inf) for s in (-1, 1)])
-    xs = np.concatenate([xs, -xs, [2.0**52 / 10**places * (1 - 2**-52)]])
-    y = np.abs(xs) * 10**places
-    false_ties = [x for x, tie in zip(xs.tolist(), (np.abs(y - np.rint(y)) == 0.5).tolist())
-                  if tie and exact_tie_distance(x, places) != 0]
-    assert len(false_ties) > 100
+def test_decimals_on_exact_ties(places):
+    """j / 2**(places + 1), j odd, are the doubles whose x * 10**places ends
+    in exactly 1/2: "%.*f" rounds them half-even."""
+    d = 2**(places + 1)
+    ties = np.concatenate([np.arange(1, d, 2) / d + m for m in (0, 1, 7, 255, 512, 999)])
+    assert all(exact_tie_distance(x, places) == 0 for x in ties.tolist())
+    xs = np.concatenate([ties, -ties])
     assert decimal_texts(xs, places) == ["%.*f" % (places, x) for x in xs.tolist()]
 
 
-@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, 2.0**52 / 1e6, -(2.0**52) / 1e6])
+@pytest.mark.parametrize("places", [6, 9])
+def test_decimals_next_to_ties(places):
+    """Floats one and two ulps from (k + 1/2) / 10**p, and their negatives:
+    x * 10**p often rounds onto the tie, and Dekker's error says which way
+    the exact product lies.  One draw of k spans magnitudes, one is dense."""
+    rng = np.random.Generator(np.random.PCG64(23))
+    wide = np.concatenate([rng.integers(0, 10**k, 300) for k in (3, 8, 12, 15)])
+    dense = np.random.Generator(np.random.PCG64(22)).integers(0, 10**12, 400)
+    for ks, least in ((wide, 100), (dense, 1000)):
+        xs = (ks + 0.5) / 10**places
+        for _ in range(2):
+            xs = np.concatenate([xs] + [np.nextafter(xs, s * np.inf) for s in (-1, 1)])
+        xs = np.concatenate([xs, -xs])
+        y = np.abs(xs) * 10**places
+        false_ties = [x for x, tie in zip(xs.tolist(), (np.abs(y - np.rint(y)) == 0.5).tolist())
+                      if tie and exact_tie_distance(x, places) != 0]
+        assert len(false_ties) > least
+        assert decimal_texts(xs, places) == ["%.*f" % (places, x) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("places", [6, 9])
+def test_decimals_at_the_ends_of_the_range(places):
+    """Zero, a half and one and a half of the last place, values that round
+    up to 1000, tiny negatives, and the last double below 2**52 / 10**places."""
+    nines = "999." + "9" * places
+    xs = [float(s) for s in ("0", f"5e-{places + 1}", f"1.5e-{places}", nines + "4", nines + "5",
+                             "1000", "-0", "-1e-12", f"-2.5e-{places}")]
+    xs += [np.nextafter(1000.0, 0.0), np.nextafter(2.0**52 / 10**places, 0.0)]
+    texts = decimal_texts(xs, places)
+    assert texts == ["%.*f" % (places, x) for x in xs]
+    assert texts[-2] == "1000." + "0" * places
+
+
+@pytest.mark.parametrize("x", [np.inf, -np.inf, np.nan, 2.0**52 / 1e6, -(2.0**52) / 1e6,
+                               2.0**52 / 1e9, -(2.0**52) / 1e9])
 def test_decimals_none_past_2_52(x):
-    assert text.decimals(np.array([1.0, x]), 6) is None
+    for places in (6, 9):
+        if not abs(x) < 2.0**52 / 10**places:
+            assert text.decimals(np.array([1.0, x]), places) is None
 
 
 def test_int_texts():
