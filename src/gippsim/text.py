@@ -35,7 +35,8 @@ def decimals(x: np.ndarray, places: int) -> np.ndarray | None:
     """
     mag = np.abs(x)
     scale = 10.0**places
-    y = mag * scale
+    with np.errstate(over="ignore"):        # an inf product fails the check below
+        y = mag * scale
     if not np.all(y < 2.0**52):
         return None
     n = np.rint(y)

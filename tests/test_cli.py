@@ -336,6 +336,17 @@ def test_sim_writes_trace(capsys, tmp_path):
     assert len(lines) == 13
 
 
+def test_sim_huge_spacing_writes_trace_without_warning(capsys, tmp_path):
+    # |x| * 10**6 overflows to inf before the text module's 2**52 check
+    # falls back to "%.6f"; a warning would reach stderr (or fail under -W error)
+    out_csv = tmp_path / "trace.csv"
+    code, _, err = run_cli(capsys, "sim", "--out", str(out_csv), "--n-vehicles", "2",
+                           "--n-steps", "2", "--initial-spacing-m", "1e308")
+    assert (code, err) == (0, "")
+    cfg = SimConfig(n_vehicles=2, n_steps=2, initial_spacing_m=1e308)
+    assert out_csv.read_bytes() == sim.format_trace(sim.run_sim(cfg)[0]).encode()
+
+
 def test_sim_reads_config_file(capsys, tmp_path):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n_vehicles = 2\nn_steps = 2\nseed = 9\n", encoding="utf-8")

@@ -98,9 +98,10 @@ def test_step_clamps_at_desired_speed():
     vstar, _ = init_fleet(cfg)
     run = SimRun(cfg)
     vel = np.zeros(1, dtype=np.int64)
+    p4, clamped, rows = run.table.p4.ravel(), run.table.clamped.ravel(), np.zeros(1, np.int64)
     # drive far past saturation
     for _ in range(400):
-        step_sim(run.vstar, run.table, vel)
+        step_sim(run.vstar, p4, clamped, rows, vel)
     assert vel[0] == vstar[0]
 
 
@@ -283,7 +284,9 @@ def test_write_trace_csv_roundtrip(tmp_path):
     # the leader passes 2**40 after a few steps: later one-step blocks fall back
     (SimConfig(n_vehicles=2, n_steps=20, initial_spacing_m=2.0**40 - 2), 2),
     (SimConfig(n_vehicles=1, n_steps=100), sim._BLOCK_ROWS),
-], ids=["crossing-2^40", "one-vehicle"])
+    # one-step blocks of n rows, each tiling the run's vehicle-id texts once
+    (SimConfig(n_vehicles=sim._BLOCK_ROWS + 808, n_steps=3), sim._BLOCK_ROWS),
+], ids=["crossing-2^40", "one-vehicle", "wider-than-a-block"])
 def test_write_trace_csv_equals_format_trace(monkeypatch, cfg, block_rows):
     monkeypatch.setattr(sim, "_BLOCK_ROWS", block_rows)
     buf = io.BytesIO()

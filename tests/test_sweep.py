@@ -29,6 +29,7 @@ from gippsim.gipps import (
     gipps_step,
 )
 from gippsim.oracle import block_oracle, pipeline_oracle
+from gippsim.sim import SimConfig, SimRun, write_trace_csv
 from gippsim.sweep import CSV_HEADER, grid_blocks, run_sweep
 from gippsim.text import fixed_texts, join_rows
 
@@ -310,6 +311,27 @@ def test_default_sweep_keeps_only_what_it_writes():
         finally:
             tracemalloc.stop()
     assert peak < 2.0 * 2**20
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(n_vehicles=100, n_steps=500),         # the benchmark's sim_platoon shape
+    SimConfig(n_vehicles=4, n_steps=12_500),        # and its sim_narrow shape
+], ids=["platoon", "narrow"])
+def test_sim_writer_keeps_one_block(cfg):
+    """The trace writer holds one block of ``sim._BLOCK_ROWS`` rows at a time,
+    at most twice while ``join_rows`` strips it, as the sweep does.  Measured
+    peak with numpy 2.4.6 at 8,192 rows per block: 1.40 MiB (platoon) and
+    1.31 MiB (narrow), against 0.75 and 0.63 MiB at 4,096; the bound leaves
+    14% margin, so a larger block shows here."""
+    write_trace_csv(SimRun(SimConfig(n_vehicles=2, n_steps=2)), io.BytesIO())   # digit tables
+    with open(os.devnull, "wb") as fh:
+        tracemalloc.start()
+        try:
+            write_trace_csv(SimRun(cfg), fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 @pytest.fixture(scope="module")
